@@ -5,11 +5,11 @@
  * main usage patterns. Useful when sizing experiments.
  *
  * The BM_*Cycles benchmarks drive tick() one cycle at a time — the
- * worst case for the interpreter, and the path passive-probe users
- * pay. The BM_*Run benchmarks drive run()/runBatch(), the path the
- * experiment engine actually uses, where the threaded dispatcher's
- * pad-superblock skipping applies. Sim-speed claims in EXPERIMENTS.md
- * quote the BM_*Run numbers.
+ * worst case for the interpreter. The BM_*Run benchmarks drive
+ * run()/runBatch(), the path the experiment engine actually uses,
+ * where the threaded dispatcher runs pad superblocks without
+ * per-cycle dispatch. Sim-speed claims in EXPERIMENTS.md quote the
+ * BM_*Run numbers.
  *
  * This binary has a custom main rather than BENCHMARK_MAIN() for
  * three reasons:
@@ -19,8 +19,8 @@
  *    matter how this code was compiled. main() rewrites that field in
  *    the --benchmark_out file to reflect how *upc780* was built
  *    (NDEBUG set => "release"), which is the figure of merit;
- *  - it records `upc780_build_type` and `upc780_dispatch` in the
- *    context stanza so a committed JSON is self-describing;
+ *  - it records `upc780_build_type` in the context stanza so a
+ *    committed JSON is self-describing;
  *  - `--compare BASELINE.json` reruns the benchmarks and reports the
  *    items/s delta against the baseline file, warning on >10%
  *    regressions (exit 1 under UPC780_BENCH_STRICT=1) — check.sh runs
@@ -40,7 +40,6 @@
 #include "arch/assembler.hh"
 #include "cpu/vax780.hh"
 #include "os/kernel.hh"
-#include "ucode/decoded.hh"
 #include "upc/monitor.hh"
 #include "workload/codegen.hh"
 #include "workload/profile.hh"
@@ -138,9 +137,9 @@ BENCHMARK(BM_BareMachineRun);
 void
 BM_BareMachineRunWithMonitor(benchmark::State &state)
 {
-    // A passive probe forces the per-cycle pad path (every pad upc
-    // must be observed), so this isolates the dispatch win from the
-    // pad-skip win.
+    // BM_BareMachineRun with a passive UPC probe attached, as in every
+    // experiment: the probe sees every cycle, pads included, so the
+    // gap between the two arms is the probe's per-cycle cost.
     cpu::Vax780 machine;
     loadBareLoop(machine);
     upc::UpcMonitor monitor;
@@ -158,9 +157,9 @@ BM_ComputeBoundRun(benchmark::State &state)
 {
     // Float-heavy loop on a no-FPA machine: MULF/DIVF spend 45/75
     // cycles in ExecCost padding (paper Table 6), so most simulated
-    // cycles are pad-superblock and IB-frozen windows — the idle-leap
-    // engine's best case, and representative of the paper's
-    // floating-point workloads without the accelerator.
+    // cycles run in pad superblocks without per-cycle dispatch — the
+    // micro-trace cache's best case, and representative of the
+    // paper's floating-point workloads without the accelerator.
     cpu::MachineConfig cfg;
     cfg.fpa = false;
     cpu::Vax780 machine(cfg);
@@ -296,7 +295,6 @@ class CaptureReporter : public benchmark::ConsoleReporter
 struct BaselineFile
 {
     std::string buildType;  //!< upc780_build_type or library_build_type
-    std::string dispatch;   //!< upc780_dispatch context, if recorded
     std::vector<Measured> results;
 };
 
@@ -327,9 +325,6 @@ loadBaseline(const std::string &path, BaselineFile &out)
         if (std::string v = jsonStringField(line, "upc780_build_type");
             !v.empty())
             out.buildType = v;
-        if (std::string v = jsonStringField(line, "upc780_dispatch");
-            !v.empty())
-            out.dispatch = v;
         if (std::string v = jsonStringField(line, "name"); !v.empty())
             name = v;
         size_t p = line.find("\"items_per_second\": ");
@@ -383,10 +378,8 @@ compareAgainstBaseline(const BaselineFile &base,
 {
     constexpr double RegressionThreshold = 0.10;
     int regressions = 0;
-    std::printf("\ncompare vs baseline (build %s%s%s):\n",
-                base.buildType.empty() ? "?" : base.buildType.c_str(),
-                base.dispatch.empty() ? "" : ", dispatch ",
-                base.dispatch.c_str());
+    std::printf("\ncompare vs baseline (build %s):\n",
+                base.buildType.empty() ? "?" : base.buildType.c_str());
     if (!base.buildType.empty() && base.buildType != kBuildType)
         std::printf("  WARNING: baseline build type '%s' != this "
                     "binary's '%s'; deltas are not meaningful\n",
@@ -459,9 +452,6 @@ main(int argc, char **argv)
     if (benchmark::ReportUnrecognizedArguments(nargs, args.data()))
         return 1;
     benchmark::AddCustomContext("upc780_build_type", kBuildType);
-    benchmark::AddCustomContext(
-        "upc780_dispatch",
-        std::string(ucode::dispatchModeName(ucode::dispatchMode())));
 
     CaptureReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);

@@ -6,8 +6,10 @@
 # prove the snapshot layer's crash-recovery contract (a composite that
 # crashes mid-run and restores from checkpoints, serially and with 4
 # workers, must reproduce the uninterrupted report byte for byte),
-# run the dual-dispatch differential suite (switch vs threaded must be
-# byte-identical), emit the perf-trajectory figures (BENCH_simspeed.json,
+# run the dual-dispatch differential suite (the threaded interpreter
+# must match the switch reference byte for byte; each test pins its
+# machines through MachineConfig::dispatch, the only dispatch setting),
+# emit the perf-trajectory figures (BENCH_simspeed.json,
 # BENCH_parallel.json) from a dedicated Release build-bench tree —
 # comparing against the committed baseline and refusing debug-build
 # figures — then rebuild with AddressSanitizer for the

@@ -122,7 +122,7 @@ Ebox::cycleInner(uint64_t now)
                 return {img_.marks.abort, false, false};
             }
             obsEv_.ibStall = true;
-            return {pendStallAddr_, false, false, true};
+            return {pendStallAddr_, false, false};
         }
         pendDispatch_ = false;
         upc_ = t;
@@ -164,7 +164,7 @@ Ebox::runCycleCore(uint64_t now)
                 return {img_.marks.abort, false, false};
             }
             obsEv_.ibStall = true;
-            return {ibStallAddrFor(op), false, false, true};
+            return {ibStallAddrFor(op), false, false};
         }
     }
 
@@ -487,8 +487,8 @@ Ebox::runCycleDecoded(uint64_t now)
 
     const ucode::DecodedRow &row = rows_[upc_];
 
-#if defined(__GNUC__) || defined(__clang__)
-    // Computed-goto dispatch: one indirect branch per cycle, with a
+    // Computed-goto dispatch (a GCC/Clang extension; the build supports
+    // no other compiler): one indirect branch per cycle, with a
     // distinct branch site per handler transition for the predictor.
     static const void *const tbl[] = {
         &&hx_generic,  &&hx_pad,       &&hx_decode,    &&hx_spechead,
@@ -535,47 +535,6 @@ Ebox::runCycleDecoded(uint64_t now)
     return hxExecBdispCond(row);
   hx_brtgt:
     return hxBranchTargetNext(row);
-#else
-    // Portable fallback: a single dense switch over the handler id.
-    switch (row.h) {
-      case ucode::Hx::Generic:
-        return runCycleCore(now);
-      case ucode::Hx::Pad:
-        return hxPad(row);
-      case ucode::Hx::Decode:
-        return hxDecode(row);
-      case ucode::Hx::SpecHead:
-        return hxSpecHead(row);
-      case ucode::Hx::SpecOperand:
-        return hxSpecOperand(row);
-      case ucode::Hx::OperandMdrRead:
-        return hxOperandMdrRead(row);
-      case ucode::Hx::WriteResultSpec:
-        return hxWriteResultSpec(row);
-      case ucode::Hx::OperandAddrDisp:
-        return hxOperandAddrDisp(row);
-      case ucode::Hx::NopSpecDispatch:
-        return hxNopSpecDispatch(row);
-      case ucode::Hx::ExecNext:
-        return hxExecNext(row);
-      case ucode::Hx::ExecStepNext:
-        return hxExecStepNext(row);
-      case ucode::Hx::LoopDecJif:
-        return hxLoopDecJif(row);
-      case ucode::Hx::BranchDisp:
-        return hxBranchDisp(row);
-      case ucode::Hx::TakeBranchDecode:
-        return hxTakeBranchDecode(row);
-      case ucode::Hx::ExecSpecDispatch:
-        return hxExecSpecDispatch(row);
-      case ucode::Hx::ExecBdispCond:
-        return hxExecBdispCond(row);
-      case ucode::Hx::BranchTargetNext:
-        return hxBranchTargetNext(row);
-      default:
-        return runCycleCore(now);
-    }
-#endif
 }
 
 bool
@@ -589,7 +548,7 @@ Ebox::ibGate(uint32_t need, UAddr stall_addr, CycleOut &out)
         out = {img_.marks.abort, false, false};
     } else {
         obsEv_.ibStall = true;
-        out = {stall_addr, false, false, true};
+        out = {stall_addr, false, false};
     }
     return false;
 }

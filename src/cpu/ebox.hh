@@ -53,14 +53,6 @@ struct CycleOut
     ucode::UAddr upc = 0;  //!< control-store address of this cycle
     bool stalled = false;  //!< read- or write-stalled cycle
     bool halted = false;
-    /**
-     * The cycle was an IB-starved stall: the same microinstruction (or
-     * pending dispatch) retried and failed an instruction-buffer gate
-     * without changing any EBOX state. While the IBox state also does
-     * not change, every subsequent cycle is bit-identical — the
-     * machine's batched executor uses this to fast-forward such runs.
-     */
-    bool ibStalled = false;
 };
 
 /**
@@ -88,20 +80,13 @@ class Ebox
   public:
     Ebox(const ucode::MicrocodeImage &image, mem::MemorySubsystem &memsys,
          mmu::TranslationBuffer &tb, IBox &ibox,
-         ucode::DispatchMode mode = ucode::dispatchMode());
+         ucode::DispatchMode mode);
 
     /** Reset to begin execution at @p pc. */
     void reset(VAddr pc, bool map_enabled);
 
     /** Advance one machine cycle. */
     CycleOut cycle(uint64_t now);
-
-    /** How this EBOX dispatches microinstructions. */
-    ucode::DispatchMode dispatchMode() const
-    {
-        return threaded_ ? ucode::DispatchMode::Threaded
-                         : ucode::DispatchMode::Switch;
-    }
 
     /**
      * Micro-trace cache probe: the number of consecutive pure-padding
@@ -131,35 +116,6 @@ class Ebox
         ++upc_;
         return {a, false, false};
     }
-
-    /**
-     * Execute @p n pad cycles at once (n <= padRun()). A pad word's
-     * only effect is advancing the micro-PC, so this is n padCycle()
-     * calls; the caller is responsible for the per-cycle machine
-     * plumbing those cycles would otherwise see (valid only when that
-     * plumbing is provably no-op, e.g. a quiescent IBox and no
-     * probes/devices).
-     */
-    void padSkip(uint32_t n) { upc_ = static_cast<ucode::UAddr>(upc_ + n); }
-
-    /**
-     * Remaining read/write stall cycles: cycles the EBOX would spend
-     * purely decrementing its stall counter (reporting the stalled
-     * micro-address each time). Zero under the legacy switch
-     * dispatcher, which stays a pristine per-cycle reference.
-     */
-    uint64_t stallRun() const
-    {
-        return threaded_ && !halted_ ? stallRemaining_ : 0;
-    }
-
-    /**
-     * Absorb @p n stall cycles at once (n <= stallRun()). Equivalent
-     * to n stalled cycle() calls minus the obs classification, which
-     * the caller batches; valid only when the per-cycle machine
-     * plumbing is provably no-op for those cycles.
-     */
-    void stallSkip(uint64_t n) { stallRemaining_ -= n; }
 
     // ----- architectural state ------------------------------------------
     uint32_t &gpr(unsigned i) { return gpr_[i]; }

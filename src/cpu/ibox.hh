@@ -71,34 +71,6 @@ class IBox
     /** Consume @p n buffered bytes. */
     void consume(uint32_t n);
 
-    /**
-     * First cycle at or after @p now at which deliver() or startFill()
-     * can change any IB state, assuming no bytes are consumed and no
-     * redirect happens in between. While the machine idles (pads,
-     * memory stalls, IB-starved stalls), every IB call in [now,
-     * nextEventAt(now)) is a provable no-op: a pending fill only lands
-     * at fillReadyAt_, a full or TB-miss-blocked fetcher never issues,
-     * and only the redirect flag (cleared by the very next startFill())
-     * forces a per-cycle step. A pending TB miss also freezes the
-     * fetcher, but is reported as "event now": the EBOX *reacts* to it
-     * (with a microtrap) at its next IB gate, so a miss window is not
-     * idle from the machine's point of view and must run per-cycle.
-     * The idle-leap engine in Vax780::runBatch uses this as the leap
-     * bound; UINT64_MAX means "frozen until an EBOX action (consume or
-     * redirect) intervenes".
-     */
-    uint64_t
-    nextEventAt(uint64_t now) const
-    {
-        if (justRedirected_ || tbMiss_)
-            return now;
-        if (fillPending_)
-            return fillReadyAt_ > now ? fillReadyAt_ : now;
-        if (count_ >= Capacity)
-            return UINT64_MAX;
-        return now;
-    }
-
     /** True if fetching is blocked on an I-stream TB miss. */
     bool tbMissPending() const { return tbMiss_; }
 

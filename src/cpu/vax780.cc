@@ -1,31 +1,12 @@
 #include "cpu/vax780.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/serial.hh"
 #include "fault/fault.hh"
 
 namespace upc780::cpu
 {
-
-namespace
-{
-
-ucode::DispatchMode
-dispatchFor(MachineConfig::Dispatch d)
-{
-    switch (d) {
-      case MachineConfig::Dispatch::Threaded:
-        return ucode::DispatchMode::Threaded;
-      case MachineConfig::Dispatch::Switch:
-        return ucode::DispatchMode::Switch;
-      default:
-        return ucode::dispatchMode();
-    }
-}
-
-} // namespace
 
 Vax780::Vax780(const MachineConfig &config)
     : memsys_(config.mem),
@@ -34,7 +15,7 @@ Vax780::Vax780(const MachineConfig &config)
       ebox_(config.image ? *config.image
                          : config.fpa ? ucode::microcodeImage()
                                       : ucode::microcodeImageNoFpa(),
-            memsys_, tb_, ibox_, dispatchFor(config.dispatch))
+            memsys_, tb_, ibox_, config.dispatch)
 {
     ebox_.setInterruptController(this);
     ebox_.setDecodeDeliversFirstOperand(config.rmodeDecode);
@@ -92,8 +73,8 @@ Vax780::acknowledge(uint32_t level)
     }
 }
 
-CycleOut
-Vax780::tickOut()
+bool
+Vax780::tick()
 {
     if (fault_) {
         fault_->setNow(cycles_);
@@ -122,38 +103,7 @@ Vax780::tickOut()
         d->tick(cycles_);
 
     ++cycles_;
-    return out;
-}
-
-bool
-Vax780::tick()
-{
-    return !tickOut().halted;
-}
-
-bool
-Vax780::leapEligible() const
-{
-    // Leaps elide per-cycle work, so everything that observes or
-    // perturbs individual cycles disqualifies them: probes want every
-    // (upc, stalled) pair, fault injectors match on exact cycle
-    // numbers, non-batchable devices may depend on being ticked each
-    // cycle, and the switch dispatcher stays a pristine per-cycle
-    // reference for the dual-dispatch differential tests.
-    // Debug/measurement escape hatch: UPC780_NOLEAP=1 forces the
-    // per-cycle path even under threaded dispatch, isolating the
-    // dispatcher's contribution from the leap engine's (the two are
-    // bit-identical, so this only changes wall-clock speed).
-    if (std::getenv("UPC780_NOLEAP"))
-        return false;
-    if (fault_ != nullptr || !probes_.empty() ||
-        ebox_.dispatchMode() != ucode::DispatchMode::Threaded)
-        return false;
-    for (const Device *d : devices_) {
-        if (!d->tickBatchable())
-            return false;
-    }
-    return true;
+    return !out.halted;
 }
 
 uint64_t
@@ -174,7 +124,6 @@ Vax780::runBatch(uint64_t budget, bool stop_at_instruction)
 {
     uint64_t done = 0;
     const uint64_t insns = ebox_.instructions();
-    const bool leap = leapEligible();
     while (done < budget) {
         // Micro-trace cache: a validated run of pad words needs no
         // dispatch, no IB bytes and no datapath work — only the
@@ -185,26 +134,7 @@ Vax780::runBatch(uint64_t budget, bool stop_at_instruction)
         if (pads > 0) {
             if (pads > budget - done)
                 pads = budget - done;
-            uint64_t i = 0;
-            while (i < pads) {
-                // While the IBox is frozen, the remaining pad cycles
-                // have no effect beyond the micro-PC and the clock —
-                // skip to the IBox's next event (or the run's end)
-                // in O(1) and let batchable devices catch up.
-                uint64_t ev;
-                if (leap && (ev = ibox_.nextEventAt(cycles_)) > cycles_) {
-                    uint64_t n = pads - i;
-                    if (ev - cycles_ < n)
-                        n = ev - cycles_;
-                    ebox_.padSkip(static_cast<uint32_t>(n));
-                    cycles_ += n;
-                    i += n;
-                    catchUpDevices(cycles_ - 1);
-                    continue;
-                }
-                // Per-cycle while anything per-cycle can still
-                // happen: probes observe each pad address, the IB
-                // fill engine runs until it tops up, devices tick.
+            for (uint64_t i = 0; i < pads; ++i) {
                 ibox_.deliver(cycles_);
                 CycleOut out = ebox_.padCycle();
                 for (CycleProbe *p : probes_)
@@ -213,62 +143,17 @@ Vax780::runBatch(uint64_t budget, bool stop_at_instruction)
                 for (Device *d : devices_)
                     d->tick(cycles_);
                 ++cycles_;
-                ++i;
             }
             obs::emitPadCycles(pads);
             done += pads;
             continue;
         }
 
-        // Memory-stall window: the EBOX does nothing but decrement
-        // its stall counter until it reaches zero, so while the IBox
-        // is frozen those cycles are pure clock advancement. Each
-        // would have been classified as an EboxStallCycle.
-        if (leap) {
-            uint64_t stall = ebox_.stallRun();
-            if (stall > 0) {
-                uint64_t ev = ibox_.nextEventAt(cycles_);
-                if (ev > cycles_) {
-                    uint64_t n = std::min(stall, budget - done);
-                    if (ev - cycles_ < n)
-                        n = ev - cycles_;
-                    if (n > 0) {
-                        ebox_.stallSkip(n);
-                        cycles_ += n;
-                        done += n;
-                        obs::emitStallCycles(n);
-                        catchUpDevices(cycles_ - 1);
-                        continue;
-                    }
-                }
-            }
-        }
-
-        CycleOut out = tickOut();
-        if (out.halted)
+        if (!tick())
             return done;  // the halting cycle is not counted, as in run()
         ++done;
         if (stop_at_instruction && ebox_.instructions() != insns)
             return done;
-
-        // IB-starved stall window: the cycle just executed re-failed
-        // an IB gate without consuming or producing anything, and
-        // re-runs bit-identically every cycle until the IBox next
-        // changes state (an ibStalled return implies no pending TB
-        // miss, and a miss can only begin at a startFill that issues
-        // — a cycle with nextEventAt == now, which is never skipped).
-        if (leap && out.ibStalled && done < budget) {
-            uint64_t ev = ibox_.nextEventAt(cycles_);
-            if (ev > cycles_) {
-                uint64_t n = budget - done;
-                if (ev - cycles_ < n)
-                    n = ev - cycles_;
-                cycles_ += n;
-                done += n;
-                obs::emitIbStallCycles(n);
-                catchUpDevices(cycles_ - 1);
-            }
-        }
     }
     return done;
 }

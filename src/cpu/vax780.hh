@@ -46,22 +46,6 @@ class Device
     virtual bool requesting(uint32_t &level, uint32_t &vector) = 0;
     /** The CPU dispatched this device's interrupt. */
     virtual void acknowledge() = 0;
-
-    /**
-     * Catch-up contract: a batchable device promises that one
-     * tick(T) call observes exactly the state per-cycle ticks
-     * tick(T0)...tick(T) would have produced — its evolution depends
-     * only on the current cycle number, never on being called each
-     * cycle. The idle-leap engine in Vax780::runBatch may then skip
-     * its per-cycle ticks across a provably idle window [C, C+n) and
-     * issue a single tick(C+n-1) afterwards. The EBOX samples
-     * requesting() only at instruction boundaries (inside executed
-     * uops, never during idle windows), so a request that would have
-     * been raised mid-window is still seen at the same cycle it
-     * would first have been acted upon. Devices that need to be
-     * called every cycle keep the default.
-     */
-    virtual bool tickBatchable() const { return false; }
 };
 
 /** Machine configuration. */
@@ -82,13 +66,11 @@ struct MachineConfig
     const ucode::MicrocodeImage *image = nullptr;
 
     /**
-     * EBOX dispatch mode override. Default follows the process-wide
-     * ucode::dispatchMode() (UPC780_DISPATCH env, else the build
-     * default); the dual-dispatch differential tests pin each machine
-     * explicitly so both interpreters run in one process.
+     * EBOX interpreter. Threaded is the production path; Switch is the
+     * legacy reference interpreter the dual-dispatch differential
+     * tests compare it against.
      */
-    enum class Dispatch : uint8_t { Default, Threaded, Switch };
-    Dispatch dispatch = Dispatch::Default;
+    ucode::DispatchMode dispatch = ucode::DispatchMode::Threaded;
 
     /**
      * Field-wise equality (the custom image compares by identity —
@@ -112,20 +94,15 @@ class Vax780 : public InterruptController
     uint64_t run(uint64_t max_cycles);
 
     /**
-     * Run up to @p budget cycles, leaping over provably idle windows
-     * (threaded dispatch only; elsewhere this is a plain tick loop).
-     * Three window classes are eligible — pad superblocks, memory
-     * read/write stall windows and IB-starved stall windows — and a
-     * leap is taken only while the IBox is frozen (IBox::nextEventAt),
-     * no probes are attached, no fault injector is armed and every
-     * device honours the tickBatchable() catch-up contract; otherwise
-     * every cycle performs the full tick sequence, so the architected
-     * state, counter totals and event streams are bit-identical to
-     * tick()-stepping either way. Stops early once halted, or (with
-     * @p stop_at_instruction) as soon as the retired-instruction
-     * count changes, so callers can re-evaluate per-instruction
-     * conditions exactly. Returns cycles run; the halting cycle
-     * itself is not counted (as in run()).
+     * Run up to @p budget cycles. Under threaded dispatch a pad
+     * superblock runs as one loop without per-cycle dispatch, but
+     * every cycle still performs the full tick sequence (IB delivery,
+     * probes, IB fill, devices), so the architected state, counter
+     * totals and event streams are bit-identical to tick()-stepping.
+     * Stops early once halted, or (with @p stop_at_instruction) as
+     * soon as the retired-instruction count changes, so callers can
+     * re-evaluate per-instruction conditions exactly. Returns cycles
+     * run; the halting cycle itself is not counted (as in run()).
      */
     uint64_t runBatch(uint64_t budget, bool stop_at_instruction);
 
@@ -169,21 +146,6 @@ class Vax780 : public InterruptController
     void deserialize(ByteReader &r);
 
   private:
-    /** One machine cycle; the EBOX's CycleOut for the leap engine. */
-    CycleOut tickOut();
-
-    /** Catch a skipped window's devices up to cycle @p last (the last
-     *  cycle whose per-cycle tick was elided). */
-    void
-    catchUpDevices(uint64_t last)
-    {
-        for (Device *d : devices_)
-            d->tick(last);
-    }
-
-    /** True when runBatch may leap idle windows (see runBatch). */
-    bool leapEligible() const;
-
     mem::MemorySubsystem memsys_;
     mmu::TranslationBuffer tb_;
     IBox ibox_;

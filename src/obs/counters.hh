@@ -241,53 +241,16 @@ count(Ev e, uint64_t n)
 void emitCycle(const CycleEvents &ev, bool stalled);
 
 /**
- * Classify one pad cycle (executed nop microinstruction, no flags, not
- * stalled) into the current scope: exactly emitCycle({}, false), kept
- * branch-free for the batched pad-superblock executor.
- */
-inline void
-emitPadCycle()
-{
-    if (CounterRegistry *r = counters())
-        r->bump(Ev::EboxUops);
-}
-
-/**
- * Classify @p n pad cycles at once: exactly n emitPadCycle() calls.
- * Sound to batch because the counter gate (setEnabled) only flips from
- * within executed microinstructions, never inside a pad run.
+ * Classify @p n pad cycles (executed nop microinstructions, no flags,
+ * not stalled) at once: exactly n emitCycle({}, false) calls. Sound to
+ * batch because the counter gate (setEnabled) only flips from within
+ * executed microinstructions, never inside a pad run.
  */
 inline void
 emitPadCycles(uint64_t n)
 {
     if (CounterRegistry *r = counters())
         r->add(Ev::EboxUops, n);
-}
-
-/**
- * Classify @p n memory-stall cycles at once: exactly n
- * emitCycle(ev, true) calls (a stalled cycle counts only
- * EboxStallCycles regardless of event flags). Used by the idle-leap
- * engine when it fast-forwards a read/write stall window.
- */
-inline void
-emitStallCycles(uint64_t n)
-{
-    if (CounterRegistry *r = counters())
-        r->add(Ev::EboxStallCycles, n);
-}
-
-/**
- * Classify @p n IB-starved stall cycles at once: exactly n
- * emitCycle(ev, false) calls with only the ibStall flag set. Used by
- * the idle-leap engine when it fast-forwards a window in which the
- * EBOX re-fails the same IB gate every cycle.
- */
-inline void
-emitIbStallCycles(uint64_t n)
-{
-    if (CounterRegistry *r = counters())
-        r->add(Ev::EboxIbStallCycles, n);
 }
 
 /**

@@ -56,11 +56,6 @@ class IntervalTimer : public cpu::Device
 
     uint64_t interrupts() const { return interrupts_.value(); }
 
-    /** tick() only tests now >= nextAt_, so one catch-up call at the
-     *  end of a skipped window sets pending_ iff any per-cycle call
-     *  in the window would have. */
-    bool tickBatchable() const override { return true; }
-
     /** Checkpoint phase + pending flag + counter (kernel.cc). */
     void serialize(ByteWriter &w) const;
     void deserialize(ByteReader &r);
@@ -92,10 +87,6 @@ class RteTerminal : public cpu::Device
     {
         now_ = now;
     }
-
-    /** tick() just records the clock, so the last catch-up call
-     *  leaves now_ exactly where per-cycle ticking would have. */
-    bool tickBatchable() const override { return true; }
 
     bool
     requesting(uint32_t &level, uint32_t &vector) override

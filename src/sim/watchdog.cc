@@ -24,9 +24,9 @@ Watchdog::cycle(ucode::UAddr upc, bool stalled)
     traceHead_ = (traceHead_ + 1) % TraceDepth;
 
     if (stalled) {
-        ++stallRun_;
+        ++stallStreak_;
     } else {
-        stallRun_ = 0;
+        stallStreak_ = 0;
         lastCommittedUpc_ = upc;
         if (upc == img_.marks.decode) {
             ++decodes_;
@@ -38,7 +38,7 @@ Watchdog::cycle(ucode::UAddr upc, bool stalled)
 bool
 Watchdog::expired() const
 {
-    if (stallRun_ >= maxStallRun_)
+    if (stallStreak_ >= maxStallRun_)
         return true;
     return cycles_ - cyclesAtLastDecode_ >= interval_;
 }
@@ -55,7 +55,7 @@ Watchdog::diagnostic() const
        << "  instruction decodes:  " << decodes_ << "\n"
        << "  cycles since decode:  " << (cycles_ - cyclesAtLastDecode_)
        << "\n"
-       << "  consecutive stalls:   " << stallRun_ << "\n"
+       << "  consecutive stalls:   " << stallStreak_ << "\n"
        << "  current upc:          0x" << std::hex << last.upc
        << std::dec << " (" << ucode::rowName(img_.rowOf(last.upc))
        << (last.stalled ? ", stalled" : "") << ")\n"
@@ -87,7 +87,7 @@ Watchdog::serialize(ByteWriter &w) const
     w.u64(cycles_);
     w.u64(decodes_);
     w.u64(cyclesAtLastDecode_);
-    w.u64(stallRun_);
+    w.u64(stallStreak_);
     w.u16(lastCommittedUpc_);
     for (const Sample &s : trace_) {
         w.u16(s.upc);
@@ -102,7 +102,7 @@ Watchdog::deserialize(ByteReader &r)
     cycles_ = r.u64();
     decodes_ = r.u64();
     cyclesAtLastDecode_ = r.u64();
-    stallRun_ = r.u64();
+    stallStreak_ = r.u64();
     lastCommittedUpc_ = r.u16();
     for (Sample &s : trace_) {
         s.upc = r.u16();

@@ -106,7 +106,7 @@ class Watchdog : public cpu::CycleProbe
     uint64_t cycles_ = 0;
     uint64_t decodes_ = 0;
     uint64_t cyclesAtLastDecode_ = 0;
-    uint64_t stallRun_ = 0;
+    uint64_t stallStreak_ = 0;
     ucode::UAddr lastCommittedUpc_ = 0;
 
     std::array<Sample, TraceDepth> trace_{};

@@ -35,10 +35,7 @@ configFor(const Kernel &k, const RunOverrides &ov)
         mc.mem.sbi.readLatency = uint32_t(ov.sbiReadLatency);
     if (ov.sbiWriteLatency >= 0)
         mc.mem.sbi.writeLatency = uint32_t(ov.sbiWriteLatency);
-    if (ov.dispatch == 0)
-        mc.dispatch = cpu::MachineConfig::Dispatch::Switch;
-    else if (ov.dispatch == 1)
-        mc.dispatch = cpu::MachineConfig::Dispatch::Threaded;
+    mc.dispatch = ov.dispatch;
     return mc;
 }
 

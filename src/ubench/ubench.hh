@@ -45,6 +45,7 @@
 #include "arch/types.hh"
 #include "obs/counters.hh"
 #include "ucode/controlstore.hh"
+#include "ucode/decoded.hh"
 #include "upc/histogram.hh"
 
 namespace upc780::ubench
@@ -192,9 +193,9 @@ struct RunOverrides
 {
     int sbiReadLatency = -1;
     int sbiWriteLatency = -1;
-    /** EBOX dispatch: -1 process default, 0 switch, 1 threaded. The
-     *  dual-dispatch differential tests run every kernel both ways. */
-    int dispatch = -1;
+    /** EBOX interpreter; the dual-dispatch differential tests run
+     *  every kernel under both. */
+    ucode::DispatchMode dispatch = ucode::DispatchMode::Threaded;
 };
 
 /** One full run of a kernel on the real machine. */

@@ -1,47 +1,19 @@
 #include "ucode/decoded.hh"
 
-#include <cstdlib>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <mutex>
 
-#include "common/logging.hh"
 #include "ucode/controlstore.hh"
 
 namespace upc780::ucode
 {
 
-DispatchMode
-dispatchMode()
-{
-#ifndef UPC780_DISPATCH_DEFAULT_THREADED
-#define UPC780_DISPATCH_DEFAULT_THREADED 1
-#endif
-    static const DispatchMode mode = [] {
-        DispatchMode m = UPC780_DISPATCH_DEFAULT_THREADED
-                             ? DispatchMode::Threaded
-                             : DispatchMode::Switch;
-        if (const char *env = std::getenv("UPC780_DISPATCH")) {
-            if (std::strcmp(env, "switch") == 0) {
-                m = DispatchMode::Switch;
-            } else if (std::strcmp(env, "threaded") == 0) {
-                m = DispatchMode::Threaded;
-            } else if (*env) {
-                warn("UPC780_DISPATCH='%s' is not 'threaded' or "
-                     "'switch'; using %s",
-                     env, std::string(dispatchModeName(m)).c_str());
-            }
-        }
-        return m;
-    }();
-    return mode;
-}
-
-std::string_view
-dispatchModeName(DispatchMode m)
-{
-    return m == DispatchMode::Threaded ? "threaded" : "switch";
-}
+// A pad row's runLen counts the pads from it to the end of its run, so
+// it is bounded by the control-store size and always fits 16 bits.
+static_assert(ControlStoreSize <= UINT16_MAX);
 
 std::string_view
 hxName(Hx h)
@@ -202,9 +174,7 @@ decodeInto(const MicrocodeImage &img, DecodedImage &d)
             r.runLen = 0;
         } else if (a + 1 < ControlStoreSize &&
                    d.rows[a + 1].h == Hx::Pad) {
-            r.runLen = static_cast<uint16_t>(
-                d.rows[a + 1].runLen < 0xffff ? d.rows[a + 1].runLen + 1
-                                              : 0xffff);
+            r.runLen = static_cast<uint16_t>(d.rows[a + 1].runLen + 1);
         } else {
             r.runLen = 1;
         }
@@ -263,12 +233,10 @@ verifyDecoded(const MicrocodeImage &img, const DecodedImage &dec)
         if ((r.memRead != 0) != rd || (r.memWrite != 0) != wr)
             flag(a, "static read/write cycle class mismatch");
         if (r.h == Hx::Pad) {
-            uint16_t expect =
-                (a + 1 < ControlStoreSize &&
-                 dec.rows[a + 1].h == Hx::Pad &&
-                 dec.rows[a + 1].runLen < 0xffff)
-                    ? dec.rows[a + 1].runLen + 1
-                    : 1;
+            uint32_t expect = (a + 1 < ControlStoreSize &&
+                               dec.rows[a + 1].h == Hx::Pad)
+                                  ? dec.rows[a + 1].runLen + 1u
+                                  : 1u;
             if (r.runLen != expect)
                 flag(a, "pad superblock run length mismatch");
         } else if (r.runLen != 0) {

@@ -37,18 +37,12 @@ namespace upc780::ucode
 
 struct MicrocodeImage;
 
-/** How the EBOX dispatches microinstructions. */
+/** How the EBOX dispatches microinstructions (MachineConfig::dispatch). */
 enum class DispatchMode : uint8_t
 {
     Switch,    //!< legacy reference: nested switches over raw MicroOps
     Threaded,  //!< decoded rows + computed-goto + micro-trace cache
 };
-
-/** Runtime-selected dispatch mode: UPC780_DISPATCH env, else the
- *  UPC780_DISPATCH CMake default. */
-DispatchMode dispatchMode();
-
-std::string_view dispatchModeName(DispatchMode m);
 
 /**
  * Fused handler of one decoded control-store word. Each value names a

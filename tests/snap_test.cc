@@ -252,7 +252,7 @@ TEST(SnapMachine, RestoreAcrossDispatchModes)
     // dispatcher must resume byte-identically under the other, in
     // both directions. MachineConfig::dispatch is deliberately
     // excluded from the snapshot config hash for the same reason.
-    using Dispatch = cpu::MachineConfig::Dispatch;
+    using Dispatch = ucode::DispatchMode;
     const fs::path dir = scratchDir("snap_dispatch");
     const auto profile = wkl::scientificProfile();
     const std::pair<Dispatch, Dispatch> directions[] = {
