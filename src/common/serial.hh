@@ -92,6 +92,9 @@ class ByteWriter
         bytes(v.data(), v.size());
     }
 
+    /** Make room for @p n more bytes, so they append without regrowth. */
+    void reserve(size_t n) { buf_.reserve(buf_.size() + n); }
+
     const std::vector<uint8_t> &data() const { return buf_; }
     size_t size() const { return buf_.size(); }
 
@@ -252,7 +255,12 @@ class ByteReader
     size_t pos_ = 0;
 };
 
-/** CRC-32 (IEEE 802.3, reflected), the snapshot container checksum. */
+/**
+ * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the snapshot
+ * container checksum. Pass a previous result as @p seed to continue a
+ * running checksum: crc32(b, nb, crc32(a, na)) is the CRC of a
+ * followed by b.
+ */
 uint32_t crc32(const uint8_t *data, size_t size, uint32_t seed = 0);
 
 } // namespace upc780

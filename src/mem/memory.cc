@@ -85,39 +85,48 @@ namespace
 {
 /** Snapshot chunk granularity for the zero-page elision. */
 constexpr uint32_t SnapPage = 4096;
+
+/** OR-reduce @p len bytes, eight at a time, and test for zero. */
+bool
+allZero(const uint8_t *p, uint32_t len)
+{
+    uint64_t acc = 0;
+    uint32_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        uint64_t word;
+        std::memcpy(&word, p + i, sizeof(word));
+        acc |= word;
+    }
+    for (; i < len; ++i)
+        acc |= p[i];
+    return acc == 0;
+}
 } // namespace
 
 void
 PhysicalMemory::serialize(ByteWriter &w) const
 {
-    w.u32(static_cast<uint32_t>(data_.size()));
-    const uint32_t pages =
-        (static_cast<uint32_t>(data_.size()) + SnapPage - 1) / SnapPage;
-    // First pass: count non-zero pages so the reader knows the count
-    // up front.
-    uint32_t nonzero = 0;
+    const uint32_t size = static_cast<uint32_t>(data_.size());
+    const uint32_t pages = (size + SnapPage - 1) / SnapPage;
+    // One scan finds the non-zero pages, so the count can precede them
+    // and the payload can be sized exactly before any byte is copied.
+    std::vector<uint32_t> nonzero;
+    uint64_t payload = 2 * sizeof(uint32_t);
     for (uint32_t p = 0; p < pages; ++p) {
         const uint32_t off = p * SnapPage;
-        const uint32_t len = std::min<uint32_t>(
-            SnapPage, static_cast<uint32_t>(data_.size()) - off);
-        bool all_zero = true;
-        for (uint32_t i = 0; i < len && all_zero; ++i)
-            all_zero = data_[off + i] == 0;
-        if (!all_zero)
-            ++nonzero;
-    }
-    w.u32(nonzero);
-    for (uint32_t p = 0; p < pages; ++p) {
-        const uint32_t off = p * SnapPage;
-        const uint32_t len = std::min<uint32_t>(
-            SnapPage, static_cast<uint32_t>(data_.size()) - off);
-        bool all_zero = true;
-        for (uint32_t i = 0; i < len && all_zero; ++i)
-            all_zero = data_[off + i] == 0;
-        if (all_zero)
+        const uint32_t len = std::min(SnapPage, size - off);
+        if (allZero(data_.data() + off, len))
             continue;
+        nonzero.push_back(p);
+        payload += sizeof(uint32_t) + len;
+    }
+    w.reserve(static_cast<size_t>(payload));
+    w.u32(size);
+    w.u32(static_cast<uint32_t>(nonzero.size()));
+    for (uint32_t p : nonzero) {
+        const uint32_t off = p * SnapPage;
         w.u32(p);
-        w.bytes(data_.data() + off, len);
+        w.bytes(data_.data() + off, std::min(SnapPage, size - off));
     }
 }
 

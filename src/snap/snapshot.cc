@@ -50,33 +50,44 @@ getMeta(ByteReader &r)
 
 } // namespace
 
+void
+SnapshotWriter::emit(const Sink &sink) const
+{
+    uint32_t crc = 0;
+    const auto put = [&](const uint8_t *p, size_t n) {
+        crc = crc32(p, n, crc);
+        sink(p, n);
+    };
+
+    ByteWriter head;
+    head.bytes(Magic, sizeof(Magic));
+    head.u32(FormatVersion);
+    putMeta(head, meta_);
+    head.u32(static_cast<uint32_t>(sections_.size()));
+    put(head.data().data(), head.size());
+    for (const auto &[name, payload] : sections_) {
+        ByteWriter frame;
+        frame.str(name);
+        frame.u64(payload.size());
+        put(frame.data().data(), frame.size());
+        put(payload.data(), payload.size());
+    }
+    ByteWriter trailer;
+    trailer.u32(crc);
+    sink(trailer.data().data(), trailer.size());
+}
+
 std::vector<uint8_t>
 SnapshotWriter::finish() const
 {
-    ByteWriter w;
-    w.bytes(Magic, sizeof(Magic));
-    w.u32(FormatVersion);
-    putMeta(w, meta_);
-    w.u32(static_cast<uint32_t>(sections_.size()));
-    for (const auto &[name, payload] : sections_) {
-        w.str(name);
-        w.u64(payload.size());
-        w.bytes(payload.data(), payload.size());
-    }
-    std::vector<uint8_t> out = std::move(w).take();
-    const uint32_t crc = crc32(out.data(), out.size());
-    out.push_back(static_cast<uint8_t>(crc));
-    out.push_back(static_cast<uint8_t>(crc >> 8));
-    out.push_back(static_cast<uint8_t>(crc >> 16));
-    out.push_back(static_cast<uint8_t>(crc >> 24));
+    std::vector<uint8_t> out;
+    emit([&](const uint8_t *p, size_t n) { out.insert(out.end(), p, p + n); });
     return out;
 }
 
 void
 SnapshotWriter::writeFile(const std::string &path) const
 {
-    const std::vector<uint8_t> bytes = finish();
-
     std::error_code ec;
     const fs::path target(path);
     if (target.has_parent_path())
@@ -90,8 +101,10 @@ SnapshotWriter::writeFile(const std::string &path) const
         if (!out)
             sim_throw(SnapshotError, "cannot open '%s' for writing: %s",
                       tmp.c_str(), std::strerror(errno));
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
+        emit([&](const uint8_t *p, size_t n) {
+            out.write(reinterpret_cast<const char *>(p),
+                      static_cast<std::streamsize>(n));
+        });
         out.flush();
         if (!out)
             sim_throw(SnapshotError, "short write to '%s': %s",
@@ -170,10 +183,17 @@ SnapshotReader::fromFile(const std::string &path)
     if (!in)
         sim_throw(SnapshotError, "cannot open snapshot '%s': %s",
                   path.c_str(), std::strerror(errno));
-    std::vector<uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    if (in.bad())
+    // One sized read; a size that cannot be taken (not a regular
+    // file) or a read that comes up short is a read error.
+    std::error_code ec;
+    const uintmax_t size = fs::file_size(path, ec);
+    std::vector<uint8_t> bytes;
+    if (!ec) {
+        bytes.resize(static_cast<size_t>(size));
+        in.read(reinterpret_cast<char *>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    if (ec || !in)
         sim_throw(SnapshotError, "error reading snapshot '%s'",
                   path.c_str());
     return SnapshotReader(std::move(bytes));

@@ -39,6 +39,7 @@
 #define UPC780_SNAP_SNAPSHOT_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,11 +93,21 @@ class SnapshotWriter
     /**
      * Write the container to @p path atomically (temp file + rename),
      * creating parent directories as needed, so a crash mid-write
-     * never leaves a half-written snapshot under the final name.
+     * never leaves a half-written snapshot under the final name. The
+     * bytes are those of finish(), streamed without assembling a copy.
      */
     void writeFile(const std::string &path) const;
 
   private:
+    using Sink = std::function<void(const uint8_t *, size_t)>;
+
+    /**
+     * The one definition of the byte layout: hand the container to
+     * @p sink piece by piece, header first, with the CRC chained
+     * across the pieces and emitted last.
+     */
+    void emit(const Sink &sink) const;
+
     SnapshotMeta meta_;
     std::vector<std::pair<std::string, std::vector<uint8_t>>> sections_;
 };

@@ -1,16 +1,19 @@
 /**
  * @file
  * Unit tests for the common utilities: RNG determinism and
- * distribution sanity, bitfield helpers, statistics accumulators and
- * the table formatter.
+ * distribution sanity, bitfield helpers, statistics accumulators,
+ * the table formatter and the snapshot CRC-32.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/bitfield.hh"
 #include "common/random.hh"
+#include "common/serial.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 
@@ -247,4 +250,66 @@ TEST(Logging, SimErrorHierarchy)
     EXPECT_THROW(sim_throw(upc780::GuestError, "g"), upc780::SimError);
     EXPECT_THROW(sim_throw(upc780::WatchdogError, "w"), upc780::SimError);
     EXPECT_THROW(sim_throw(upc780::AuditError, "a"), upc780::SimError);
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+/** Bitwise CRC-32/IEEE: the definition the table-driven code must meet. */
+uint32_t
+crc32Bitwise(const uint8_t *p, size_t n)
+{
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t>
+randomBytes(size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<uint8_t> v(n);
+    for (uint8_t &b : v)
+        b = static_cast<uint8_t>(rng.next());
+    return v;
+}
+
+} // namespace
+
+TEST(Crc32, KnownAnswers)
+{
+    const std::string check = "123456789";
+    EXPECT_EQ(crc32(reinterpret_cast<const uint8_t *>(check.data()),
+                    check.size()),
+              0xCBF43926u);
+    EXPECT_EQ(crc32(reinterpret_cast<const uint8_t *>(""), 0), 0u);
+}
+
+TEST(Crc32, ChainsAcrossEverySplit)
+{
+    const std::vector<uint8_t> buf = randomBytes(1024, 7);
+    const uint32_t whole = crc32(buf.data(), buf.size());
+    for (size_t split = 0; split <= buf.size(); ++split)
+        EXPECT_EQ(crc32(buf.data() + split, buf.size() - split,
+                        crc32(buf.data(), split)),
+                  whole)
+            << "split at " << split;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryAlignment)
+{
+    const std::vector<uint8_t> buf = randomBytes(256 + 8, 11);
+    for (size_t off = 0; off < 8; ++off)
+        for (size_t len = 0; len <= 256; ++len)
+            EXPECT_EQ(crc32(buf.data() + off, len),
+                      crc32Bitwise(buf.data() + off, len))
+                << "offset " << off << " length " << len;
 }

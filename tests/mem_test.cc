@@ -1,6 +1,7 @@
 /**
  * @file
- * Memory-subsystem tests: physical memory, cache geometry/behaviour
+ * Memory-subsystem tests: physical memory and its snapshot encoding,
+ * cache geometry/behaviour
  * (hit/miss, write-through no-allocate, random replacement bounds),
  * SBI occupancy, write-buffer stall timing, and the composed
  * subsystem's paper-specified timing rules.
@@ -8,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/serial.hh"
 #include "mem/memsys.hh"
 
 using namespace upc780;
@@ -51,6 +56,110 @@ TEST(MemoryDeathTest, OutOfBoundsPanics)
 {
     PhysicalMemory m(4096);
     EXPECT_DEATH(m.readByte(4096), "beyond memory");
+}
+
+namespace
+{
+
+constexpr uint32_t Page = 4096;
+
+/**
+ * The snapshot encoding spelled out byte by byte: size, count of pages
+ * holding a nonzero byte, then each such page ascending as its u32
+ * index and its bytes (the last page only as long as memory reaches).
+ */
+std::vector<uint8_t>
+referenceEncoding(const PhysicalMemory &m)
+{
+    const uint32_t pages = (m.size() + Page - 1) / Page;
+    std::vector<uint32_t> nonzero;
+    for (uint32_t p = 0; p < pages; ++p)
+        for (uint32_t a = p * Page; a < std::min(m.size(), (p + 1) * Page);
+             ++a)
+            if (m.readByte(a) != 0) {
+                nonzero.push_back(p);
+                break;
+            }
+    ByteWriter w;
+    w.u32(m.size());
+    w.u32(static_cast<uint32_t>(nonzero.size()));
+    for (uint32_t p : nonzero) {
+        w.u32(p);
+        for (uint32_t a = p * Page; a < std::min(m.size(), (p + 1) * Page);
+             ++a)
+            w.u8(m.readByte(a));
+    }
+    return w.take();
+}
+
+/**
+ * serialize() must produce the reference bytes, and deserialize() into
+ * a dirty image must restore every byte. Returns the nonzero-page count.
+ */
+uint32_t
+checkEncoding(const PhysicalMemory &m)
+{
+    ByteWriter w;
+    m.serialize(w);
+    EXPECT_EQ(w.data(), referenceEncoding(m));
+
+    PhysicalMemory back(m.size());
+    for (uint32_t a = 0; a < m.size(); a += Page / 2)
+        back.writeByte(a, 0xA5);
+    ByteReader r(w.data());
+    back.deserialize(r);
+    r.expectEnd("memory");
+    for (uint32_t a = 0; a < m.size(); ++a)
+        if (back.readByte(a) != m.readByte(a)) {
+            ADD_FAILURE() << "restored byte differs at 0x" << std::hex << a;
+            break;
+        }
+    ByteReader count(w.data());
+    count.u32();
+    return count.u32();
+}
+
+} // namespace
+
+TEST(MemorySnapshot, AllZeroImageIsSizeAndCountOnly)
+{
+    PhysicalMemory m(4 * Page);
+    EXPECT_EQ(checkEncoding(m), 0u);
+    ByteWriter w;
+    m.serialize(w);
+    EXPECT_EQ(w.size(), 8u);
+}
+
+TEST(MemorySnapshot, LoneFirstAndLastBytesKeepTheirPages)
+{
+    PhysicalMemory m(4 * Page);
+    m.writeByte(1 * Page, 0x01);     // only the first byte of page 1
+    m.writeByte(3 * Page - 1, 0x80);     // only the last byte of page 2
+    EXPECT_EQ(checkEncoding(m), 2u);
+}
+
+TEST(MemorySnapshot, RaggedSizeTruncatesTheLastPage)
+{
+    // Neither a multiple of the page nor of the 8-byte scan word: the
+    // final page is 13 bytes, 8 scanned as a word and 5 as a tail.
+    PhysicalMemory m(3 * Page + 13);
+    m.writeByte(3 * Page + 12, 0x5A);
+    EXPECT_EQ(checkEncoding(m), 1u);
+    m.writeByte(3 * Page + 12, 0);
+    m.writeByte(3 * Page + 3, 0x11);
+    m.writeByte(Page + 7, 0x22);
+    EXPECT_EQ(checkEncoding(m), 2u);
+}
+
+TEST(MemorySnapshot, DefaultImage)
+{
+    PhysicalMemory m;
+    ASSERT_EQ(m.size(), PhysicalMemory::DefaultSize);
+    const uint8_t code[] = {0xD0, 0x50, 0x51, 0x04};
+    m.load(0x200, code, sizeof(code));
+    m.write(0x10000 + 13, 8, 0x0123456789ABCDEFull);
+    m.writeByte(PhysicalMemory::DefaultSize - 1, 0xFF);
+    EXPECT_EQ(checkEncoding(m), 3u);
 }
 
 // ---------------------------------------------------------------------------

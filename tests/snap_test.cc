@@ -141,6 +141,11 @@ TEST(SnapContainer, RoundTrip)
     ByteReader b = r.open("beta");
     EXPECT_EQ(b.u64(), 99u);
     b.expectEnd("beta");
+
+    // writeFile streams the very bytes finish() assembles.
+    const std::string path = (scratchDir("roundtrip") / "rt.ckpt").string();
+    w.writeFile(path);
+    EXPECT_EQ(readFile(path), w.finish());
 }
 
 TEST(SnapContainer, IntegrityLadderIsTyped)
