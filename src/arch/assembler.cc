@@ -6,6 +6,32 @@
 namespace upc780::arch
 {
 
+namespace
+{
+
+// Little-endian stores through an instruction's output cursor.
+void
+put8(uint8_t *&out, uint8_t v)
+{
+    *out++ = v;
+}
+
+void
+put16(uint8_t *&out, uint16_t v)
+{
+    put8(out, static_cast<uint8_t>(v));
+    put8(out, static_cast<uint8_t>(v >> 8));
+}
+
+void
+put32(uint8_t *&out, uint32_t v)
+{
+    put16(out, static_cast<uint16_t>(v));
+    put16(out, static_cast<uint16_t>(v >> 16));
+}
+
+} // namespace
+
 Operand
 Operand::lit(uint8_t v)
 {
@@ -192,13 +218,14 @@ Assembler::align(uint32_t alignment)
 }
 
 void
-Assembler::emitOperand(const Operand &o, const OperandSpec &spec)
+Assembler::emitOperand(const Operand &o, const OperandSpec &spec,
+                       uint8_t *&out)
 {
     if (isBranchDisp(spec.access))
         panic("branch displacement passed as ordinary operand");
 
     if (o.indexed_)
-        db(static_cast<uint8_t>(0x40 | (o.indexReg_ & 0xf)));
+        put8(out, static_cast<uint8_t>(0x40 | (o.indexReg_ & 0xf)));
 
     AddrMode m = o.mode_;
 
@@ -220,15 +247,9 @@ Assembler::emitOperand(const Operand &o, const OperandSpec &spec)
             mode_bits = 0xE0;
             break;
         }
-        db(static_cast<uint8_t>(mode_bits | reg::PC));
-        Fixup f;
-        f.offset = bytes_.size();
-        f.label = o.labelId_;
-        f.width = width;
-        f.pcAfter = pc() + width;
-        fixups_.push_back(f);
-        for (unsigned i = 0; i < width; ++i)
-            db(0);
+        put8(out, static_cast<uint8_t>(mode_bits | reg::PC));
+        addFixup(out, o.labelId_, width);
+        out += width;
         return;
     }
 
@@ -248,18 +269,21 @@ Assembler::emitOperand(const Operand &o, const OperandSpec &spec)
           case DispWidth::Byte:
             if (o.disp_ < -128 || o.disp_ > 127)
                 sim_throw(ConfigError, "byte displacement %d out of range", o.disp_);
-            db(static_cast<uint8_t>((deferred ? 0xB0 : 0xA0) | o.reg_));
-            db(static_cast<uint8_t>(o.disp_));
+            put8(out, static_cast<uint8_t>((deferred ? 0xB0 : 0xA0) |
+                                           o.reg_));
+            put8(out, static_cast<uint8_t>(o.disp_));
             break;
           case DispWidth::Word:
             if (o.disp_ < -32768 || o.disp_ > 32767)
                 sim_throw(ConfigError, "word displacement %d out of range", o.disp_);
-            db(static_cast<uint8_t>((deferred ? 0xD0 : 0xC0) | o.reg_));
-            dw(static_cast<uint16_t>(o.disp_));
+            put8(out, static_cast<uint8_t>((deferred ? 0xD0 : 0xC0) |
+                                           o.reg_));
+            put16(out, static_cast<uint16_t>(o.disp_));
             break;
           default:
-            db(static_cast<uint8_t>((deferred ? 0xF0 : 0xE0) | o.reg_));
-            dl(static_cast<uint32_t>(o.disp_));
+            put8(out, static_cast<uint8_t>((deferred ? 0xF0 : 0xE0) |
+                                           o.reg_));
+            put32(out, static_cast<uint32_t>(o.disp_));
             break;
         }
         return;
@@ -267,37 +291,37 @@ Assembler::emitOperand(const Operand &o, const OperandSpec &spec)
 
     switch (m) {
       case AddrMode::Literal:
-        db(o.literal_ & 0x3f);
+        put8(out, o.literal_ & 0x3f);
         break;
       case AddrMode::Register:
-        db(static_cast<uint8_t>(0x50 | o.reg_));
+        put8(out, static_cast<uint8_t>(0x50 | o.reg_));
         break;
       case AddrMode::RegDeferred:
-        db(static_cast<uint8_t>(0x60 | o.reg_));
+        put8(out, static_cast<uint8_t>(0x60 | o.reg_));
         break;
       case AddrMode::AutoDecr:
-        db(static_cast<uint8_t>(0x70 | o.reg_));
+        put8(out, static_cast<uint8_t>(0x70 | o.reg_));
         break;
       case AddrMode::AutoIncr:
         if (o.reg_ == reg::PC)
             sim_throw(ConfigError, "autoincrement of PC: use Operand::imm");
-        db(static_cast<uint8_t>(0x80 | o.reg_));
+        put8(out, static_cast<uint8_t>(0x80 | o.reg_));
         break;
       case AddrMode::Immediate: {
-        db(0x8F);
+        put8(out, 0x8F);
         uint32_t n = dataTypeSize(spec.type);
         for (uint32_t i = 0; i < n; ++i)
-            db(static_cast<uint8_t>(o.imm_ >> (8 * i)));
+            put8(out, static_cast<uint8_t>(o.imm_ >> (8 * i)));
         break;
       }
       case AddrMode::AutoIncrDeferred:
         if (o.reg_ == reg::PC)
             sim_throw(ConfigError, "autoincrement-deferred of PC: use Operand::abs");
-        db(static_cast<uint8_t>(0x90 | o.reg_));
+        put8(out, static_cast<uint8_t>(0x90 | o.reg_));
         break;
       case AddrMode::Absolute:
-        db(0x9F);
-        dl(static_cast<uint32_t>(o.imm_));
+        put8(out, 0x9F);
+        put32(out, static_cast<uint32_t>(o.imm_));
         break;
       default:
         panic("unreachable operand mode");
@@ -305,7 +329,7 @@ Assembler::emitOperand(const Operand &o, const OperandSpec &spec)
 }
 
 void
-Assembler::emitInstr(Op op, const std::vector<Operand> &ops,
+Assembler::emitInstr(Op op, std::span<const Operand> ops,
                      const Label *target)
 {
     const OpcodeInfo &info = opcodeInfo(op);
@@ -332,33 +356,44 @@ Assembler::emitInstr(Op op, const std::vector<Operand> &ops,
         sim_throw(ConfigError, "%.*s branch-target mismatch",
               int(info.mnemonic.size()), info.mnemonic.data());
 
-    db(static_cast<uint8_t>(op));
+    // Encode into zero-filled room for the longest instruction, then
+    // trim to the bytes written.
+    const size_t start = bytes_.size();
+    bytes_.resize(start + MaxInstrBytes);
+    uint8_t *out = bytes_.data() + start;
+    put8(out, static_cast<uint8_t>(op));
     size_t oi = 0;
     for (const OperandSpec &s : info.specs()) {
         if (isBranchDisp(s.access))
             continue;
-        emitOperand(ops[oi++], s);
+        emitOperand(ops[oi++], s, out);
     }
     if (has_branch) {
-        Fixup f;
-        f.offset = bytes_.size();
-        f.label = target->id;
-        f.width = branch_width;
-        f.pcAfter = pc() + branch_width;
-        fixups_.push_back(f);
-        for (unsigned i = 0; i < branch_width; ++i)
-            db(0);
+        addFixup(out, target->id, branch_width);
+        out += branch_width;
     }
+    bytes_.resize(static_cast<size_t>(out - bytes_.data()));
+}
+
+void
+Assembler::addFixup(const uint8_t *field, uint32_t label, uint8_t width)
+{
+    Fixup f;
+    f.offset = static_cast<size_t>(field - bytes_.data());
+    f.label = label;
+    f.width = width;
+    f.pcAfter = base_ + static_cast<VAddr>(f.offset) + width;
+    fixups_.push_back(f);
 }
 
 void
 Assembler::emit(Op op, std::initializer_list<Operand> ops)
 {
-    emitInstr(op, std::vector<Operand>(ops), nullptr);
+    emitInstr(op, {ops.begin(), ops.size()}, nullptr);
 }
 
 void
-Assembler::emit(Op op, const std::vector<Operand> &ops)
+Assembler::emit(Op op, std::span<const Operand> ops)
 {
     emitInstr(op, ops, nullptr);
 }
@@ -372,11 +407,11 @@ Assembler::emitBr(Op op, Label target)
 void
 Assembler::emitBr(Op op, std::initializer_list<Operand> ops, Label target)
 {
-    emitInstr(op, std::vector<Operand>(ops), &target);
+    emitInstr(op, {ops.begin(), ops.size()}, &target);
 }
 
 void
-Assembler::emitBr(Op op, const std::vector<Operand> &ops, Label target)
+Assembler::emitBr(Op op, std::span<const Operand> ops, Label target)
 {
     emitInstr(op, ops, &target);
 }
@@ -391,7 +426,7 @@ Assembler::emitCase(Op op, std::initializer_list<Operand> ops,
     if (targets.empty())
         sim_throw(ConfigError, "CASE with empty displacement table");
 
-    emitInstr(op, std::vector<Operand>(ops), nullptr);
+    emitInstr(op, {ops.begin(), ops.size()}, nullptr);
 
     // The displacement table follows the specifiers. Displacements
     // are relative to the table's own address.

@@ -9,6 +9,8 @@
 #define UPC780_ARCH_ASSEMBLER_HH
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -122,12 +124,12 @@ class Assembler
      * of @p ops; use the overload taking a target Label.
      */
     void emit(Op op, std::initializer_list<Operand> ops);
-    void emit(Op op, const std::vector<Operand> &ops);
+    void emit(Op op, std::span<const Operand> ops);
 
     /** Emit a branch-format instruction targeting @p target. */
     void emitBr(Op op, Label target);
     void emitBr(Op op, std::initializer_list<Operand> ops, Label target);
-    void emitBr(Op op, const std::vector<Operand> &ops, Label target);
+    void emitBr(Op op, std::span<const Operand> ops, Label target);
 
     /**
      * Emit a CASEx instruction with its word displacement table.
@@ -165,9 +167,18 @@ class Assembler
         VAddr pcAfter;      //!< PC value the displacement is relative to
     };
 
-    void emitOperand(const Operand &o, const OperandSpec &spec);
-    void emitInstr(Op op, const std::vector<Operand> &ops,
+    /** Bound on one instruction's encoding: the opcode, six operands
+     *  of at most an index byte, a specifier byte and eight bytes, and
+     *  a word branch displacement. */
+    static constexpr size_t MaxInstrBytes = 1 + 6 * (1 + 1 + 8) + 2;
+
+    /** Encode @p o at @p out, advancing it past the bytes written. */
+    void emitOperand(const Operand &o, const OperandSpec &spec,
+                     uint8_t *&out);
+    void emitInstr(Op op, std::span<const Operand> ops,
                    const Label *target);
+    /** Record a fixup for the @p width-byte field at @p field. */
+    void addFixup(const uint8_t *field, uint32_t label, uint8_t width);
 
     VAddr base_;
     std::vector<uint8_t> bytes_;

@@ -21,12 +21,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 uint64_t
@@ -50,32 +44,10 @@ Rng::Rng(uint64_t seed)
         s = splitmix64(sm);
 }
 
-uint64_t
-Rng::next()
+void
+Rng::zeroBound()
 {
-    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-uint64_t
-Rng::below(uint64_t bound)
-{
-    if (bound == 0)
-        panic("Rng::below called with zero bound");
-    // Rejection sampling to avoid modulo bias.
-    const uint64_t threshold = -bound % bound;
-    for (;;) {
-        uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
+    panic("Rng::below called with zero bound");
 }
 
 int64_t
@@ -88,27 +60,17 @@ Rng::range(int64_t lo, int64_t hi)
 }
 
 double
-Rng::uniform()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
-}
-
-size_t
-Rng::weighted(std::span<const double> weights)
+Rng::weightTotal(std::span<const double> weights)
 {
     double total = 0.0;
     for (double w : weights)
         total += std::max(w, 0.0);
+    return total;
+}
+
+size_t
+Rng::weighted(std::span<const double> weights, double total)
+{
     if (total <= 0.0)
         panic("Rng::weighted: all weights non-positive");
     double x = uniform() * total;

@@ -46,25 +46,81 @@ class Rng
     }
 
     /** Next raw 64-bit value. */
-    uint64_t next();
+    uint64_t
+    next()
+    {
+        const uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
-    /** Uniform integer in [0, bound). bound must be nonzero. */
-    uint64_t below(uint64_t bound);
+    /**
+     * Uniform integer in [0, bound). bound must be nonzero. Rejection
+     * sampling avoids modulo bias: a draw below the threshold
+     * 2^64 mod bound is redrawn. The threshold is always less than
+     * bound, so it is computed (one more division) only for the rare
+     * draw below bound.
+     */
+    uint64_t
+    below(uint64_t bound)
+    {
+        if (bound == 0) [[unlikely]]
+            zeroBound();
+        uint64_t r = next();
+        if (r < bound) [[unlikely]] {
+            const uint64_t threshold = -bound % bound;
+            while (r < threshold)
+                r = next();
+        }
+        return r % bound;
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     int64_t range(int64_t lo, int64_t hi);
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli trial with probability p of true. */
-    bool chance(double p);
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /**
      * Sample an index from a discrete distribution given by
      * non-negative weights (need not be normalized).
      */
-    size_t weighted(std::span<const double> weights);
+    size_t
+    weighted(std::span<const double> weights)
+    {
+        return weighted(weights, weightTotal(weights));
+    }
+
+    /**
+     * The same draw with the weights' total precomputed by
+     * weightTotal(), for a caller that samples one fixed distribution
+     * many times.
+     */
+    size_t weighted(std::span<const double> weights, double total);
+
+    /** Sum of the non-negative weights, in order (see weighted). */
+    static double weightTotal(std::span<const double> weights);
 
     /** Geometric-ish run length with the given mean, minimum 1. */
     uint32_t runLength(double mean);
@@ -91,6 +147,14 @@ class Rng
     }
 
   private:
+    static uint64_t
+    rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
+    [[noreturn]] static void zeroBound();
+
     uint64_t s_[4];
 };
 

@@ -24,11 +24,11 @@ VmsLite::VmsLite(cpu::Vax780 &machine, const OsConfig &config)
 }
 
 int
-VmsLite::addProcess(const ProcessImage &image)
+VmsLite::addProcess(ProcessImage image)
 {
     if (booted_)
         sim_throw(ConfigError, "addProcess after boot");
-    pendingImages_.push_back(image);
+    pendingImages_.push_back(std::move(image));
     return static_cast<int>(pendingImages_.size());
 }
 

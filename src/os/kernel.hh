@@ -105,7 +105,7 @@ class VmsLite
     VmsLite(cpu::Vax780 &machine, const OsConfig &config = OsConfig{});
 
     /** Register a process before boot(); returns its pid (>= 1). */
-    int addProcess(const ProcessImage &image);
+    int addProcess(ProcessImage image);
 
     /**
      * Lay out memory, assemble the kernel, install devices, enable

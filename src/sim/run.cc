@@ -10,7 +10,7 @@
 #include "common/logging.hh"
 #include "common/serial.hh"
 #include "ucode/controlstore.hh"
-#include "ulint/effects.hh"
+#include "ulint/verified.hh"
 #include "workload/codegen.hh"
 
 namespace upc780::sim
@@ -170,8 +170,17 @@ auditAttribution(const ucode::MicrocodeImage &img,
                  const std::string &workload)
 {
     using ulint::CycleClass;
-    const ulint::MicroCfg cfg(img);
-    const ulint::EffectMap fx(img);
+    // A shipped image's CFG and effects map are built once per
+    // process; any other image is analysed afresh.
+    const ulint::VerifiedImage *shipped = ulint::shippedVerified(img);
+    std::optional<ulint::MicroCfg> ownCfg;
+    std::optional<ulint::EffectMap> ownFx;
+    if (!shipped) {
+        ownCfg.emplace(img);
+        ownFx.emplace(img);
+    }
+    const ulint::MicroCfg &cfg = shipped ? shipped->cfg : *ownCfg;
+    const ulint::EffectMap &fx = shipped ? shipped->effects : *ownFx;
 
     // ---- histogram membership: every bucket holding cycles must be
     // an allocated, reachable, rowed word with exactly one cycle
@@ -312,8 +321,8 @@ WorkloadRun::WorkloadRun(const ExperimentConfig &cfg,
         machine_->attachFaultInjector(injector_.get());
     }
 
-    for (const auto &image : wkl::buildWorkload(profile_))
-        vms_->addProcess(image);
+    for (os::ProcessImage &image : wkl::buildWorkload(profile_))
+        vms_->addProcess(std::move(image));
 
     machine_->attachProbe(&monitor_);
 

@@ -1,8 +1,5 @@
 #include "ucode/controlstore.hh"
 
-#include <map>
-#include <mutex>
-
 #include "common/logging.hh"
 
 namespace upc780::ucode
@@ -233,16 +230,15 @@ computeImageHash(const MicrocodeImage &img)
 uint64_t
 imageContentHash(const MicrocodeImage &img)
 {
-    static std::mutex mu;
-    static std::map<const MicrocodeImage *, uint64_t> cache;
-
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(&img);
-    if (it != cache.end())
-        return it->second;
-    const uint64_t h = computeImageHash(img);
-    cache.emplace(&img, h);
-    return h;
+    if (&img == &microcodeImage()) {
+        static const uint64_t h = computeImageHash(img);
+        return h;
+    }
+    if (&img == &microcodeImageNoFpa()) {
+        static const uint64_t h = computeImageHash(img);
+        return h;
+    }
+    return computeImageHash(img);
 }
 
 std::string_view

@@ -202,10 +202,11 @@ const MicrocodeImage &microcodeImageNoFpa();
  * another (a defective lint-test copy hashes differently from the
  * shipped image it was cloned from).
  *
- * Images are immutable after assembly (see microcodeImage), so the
- * hash is computed once per image and memoized in a registry keyed on
- * the image's identity — the same shared-immutable pattern as the
- * pre-decoded store (ucode/decoded.hh). Thread-safe.
+ * The two shipped images are immutable singletons, so their hashes
+ * are computed once and memoized. Any other image is hashed afresh on
+ * every call: a custom image can be freed and a different one built at
+ * the same address, so no memo may be keyed on its address.
+ * Thread-safe.
  */
 uint64_t imageContentHash(const MicrocodeImage &img);
 

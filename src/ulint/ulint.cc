@@ -11,6 +11,7 @@
 #include "ucode/decoded.hh"
 #include "ulint/dataflow.hh"
 #include "ulint/effects.hh"
+#include "ulint/verified.hh"
 
 namespace upc780::ulint
 {
@@ -143,8 +144,9 @@ specClassFor(SpecMode m)
 class Linter
 {
   public:
-    explicit Linter(const MicrocodeImage &img)
-        : img_(img), cfg_(img), fx_(img)
+    Linter(const MicrocodeImage &img, const MicroCfg &cfg,
+           const EffectMap &fx)
+        : img_(img), cfg_(cfg), fx_(fx)
     {
     }
 
@@ -242,8 +244,8 @@ class Linter
                        arch::SpecClass cls, const char *what);
 
     const MicrocodeImage &img_;
-    MicroCfg cfg_;
-    EffectMap fx_;
+    const MicroCfg &cfg_;
+    const EffectMap &fx_;
     Report rep_;
 };
 
@@ -1021,10 +1023,33 @@ Linter::checkCutReachability()
 
 } // namespace
 
+VerifiedImage::VerifiedImage(const MicrocodeImage &img)
+    : cfg(img), effects(img), report(Linter(img, cfg, effects).run())
+{
+}
+
+const VerifiedImage *
+shippedVerified(const MicrocodeImage &image)
+{
+    if (&image == &ucode::microcodeImage()) {
+        static const VerifiedImage v(image);
+        return &v;
+    }
+    if (&image == &ucode::microcodeImageNoFpa()) {
+        static const VerifiedImage v(image);
+        return &v;
+    }
+    return nullptr;
+}
+
 Report
 lint(const MicrocodeImage &image)
 {
-    return Linter(image).run();
+    if (const VerifiedImage *v = shippedVerified(image))
+        return v->report;
+    const MicroCfg cfg(image);
+    const EffectMap fx(image);
+    return Linter(image, cfg, fx).run();
 }
 
 std::vector<UAddr>

@@ -29,16 +29,16 @@ ProgramGenerator::ProgramGenerator(const WorkloadProfile &profile,
 }
 
 int32_t
-ProgramGenerator::longOff()
+ProgramGenerator::longOff(Rng &rng) const
 {
     // Programs exhibit locality: most scalar references fall in a hot
     // window of the working array, the rest range over the whole
     // footprint (which sets the cache/TB pressure).
-    if (d_.hotCount && rng_.chance(0.65)) {
+    if (d_.hotCount && rng.chance(0.65)) {
         return 4 * static_cast<int32_t>(d_.hotStart +
-                                        rng_.below(d_.hotCount));
+                                        rng.below(d_.hotCount));
     }
-    return 4 * static_cast<int32_t>(rng_.below(d_.longArrCount));
+    return 4 * static_cast<int32_t>(rng.below(d_.longArrCount));
 }
 
 Operand
@@ -55,13 +55,13 @@ ProgramGenerator::memOperand(bool allow_indexed)
                        : 0;
     Operand o = [&] {
         if (x < 0.62)
-            return Operand::disp(longOff() + skew, RA);
+            return Operand::disp(longOff(rng_) + skew, RA);
         if (x < 0.74) {
             // The same array addressed off the region base register
             // (longer displacements, the way compilers address
             // statics off a module base).
             return Operand::disp(static_cast<int32_t>(
-                                     d_.longArr - d_.base) + longOff(),
+                                     d_.longArr - d_.base) + longOff(rng_),
                                  RB);
         }
         if (x < 0.86)
@@ -77,7 +77,7 @@ ProgramGenerator::memOperand(bool allow_indexed)
                                      4 * rng_.below(d_.ptrCount)),
                 RB);
         }
-        return Operand::abs(d_.longArr + longOff());
+        return Operand::abs(d_.longArr + longOff(rng_));
     }();
     (void)allow_indexed;
     if (rng_.chance(0.32))
@@ -200,7 +200,7 @@ ProgramGenerator::emitIntLoop(Assembler &a)
         // (record processing / buffer copying): touches many cache
         // lines within few pages.
         a.emit(Op::MOVAB,
-               {Operand::disp(longOff(), RA), Operand::reg(2)});
+               {Operand::disp(longOff(rng_), RA), Operand::reg(2)});
         a.emit(Op::MOVL, {Operand::lit(static_cast<uint8_t>(
                               8 + rng_.below(24))), Operand::reg(7)});
         Label top = a.here();
@@ -586,29 +586,36 @@ ProgramGenerator::emitFunctions(Assembler &a)
 }
 
 void
-ProgramGenerator::initData(std::vector<uint8_t> &image)
+ProgramGenerator::initData(uint8_t *image)
 {
-    auto wr = [&](VAddr va, uint32_t n, uint64_t v) {
+    // The draws come from a local copy of the generator, written back
+    // at the end: a byte store may alias any object whose address is
+    // visible, so with the member generator every store would force
+    // its state through memory. The copy makes the same draws in the
+    // same order.
+    Rng rng = rng_;
+    auto wr = [image](VAddr va, uint32_t n, uint64_t v) {
         for (uint32_t i = 0; i < n; ++i)
             image[va + i] = static_cast<uint8_t>(v >> (8 * i));
     };
 
     for (uint32_t i = 0; i < d_.longArrCount; ++i)
-        wr(d_.longArr + 4 * i, 4, rng_.below(256));
+        wr(d_.longArr + 4 * i, 4, rng.below(256));
     for (uint32_t i = 0; i < d_.ptrCount; ++i)
-        wr(d_.ptrTable + 4 * i, 4, d_.longArr + longOff());
+        wr(d_.ptrTable + 4 * i, 4, d_.longArr + longOff(rng));
     for (uint32_t i = 0; i < d_.byteArrCount; ++i)
-        wr(d_.byteArr + i, 1, rng_.below(9));
+        wr(d_.byteArr + i, 1, rng.below(9));
     for (uint32_t i = 0; i < d_.strLen; ++i) {
-        wr(d_.strA + i, 1, 'a' + rng_.below(26));
-        wr(d_.strB + i, 1, 'a' + rng_.below(26));
+        wr(d_.strA + i, 1, 'a' + rng.below(26));
+        wr(d_.strB + i, 1, 'a' + rng.below(26));
     }
     for (uint32_t i = 0; i < d_.floatCount; ++i) {
-        double v = 0.5 + rng_.uniform();
+        double v = 0.5 + rng.uniform();
         wr(d_.floatArr + 4 * i, 4, cpu::doubleToFFloat(v));
     }
     for (uint32_t i = 0; i < d_.bitmapBytes; ++i)
-        wr(d_.bitmap + i, 1, rng_.below(256));
+        wr(d_.bitmap + i, 1, rng.below(256));
+    rng_ = rng;
     // Empty self-referential queue header.
     wr(d_.queueHdr, 4, d_.queueHdr);
     wr(d_.queueHdr + 4, 4, d_.queueHdr);
@@ -690,8 +697,9 @@ ProgramGenerator::generate()
         w.bitBranches, w.caseDispatch, w.decimalOps, w.queueOps,
         w.sysWrite,
     };
+    const double total = Rng::weightTotal(weights);
     for (uint32_t b = 0; b < profile_.codeBlocks; ++b) {
-        switch (rng_.weighted(weights)) {
+        switch (rng_.weighted(weights, total)) {
           case 0:
             emitIntLoop(a);
             break;
@@ -755,7 +763,7 @@ ProgramGenerator::generate()
     os::ProcessImage img;
     img.p0Image.assign(d_.base + d_.bytes, 0);
     std::copy(code.begin(), code.end(), img.p0Image.begin());
-    initData(img.p0Image);
+    initData(img.p0Image.data());
     img.entry = entry;
     img.p0Pages = (d_.base + d_.bytes) / mmu::PageBytes + StackPages;
     img.thinkMeanCycles = profile_.thinkMeanCycles;

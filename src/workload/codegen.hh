@@ -94,9 +94,10 @@ class ProgramGenerator
     arch::Operand srcOperand();
 
     /** Random offset into the long array (longword aligned). */
-    int32_t longOff();
+    int32_t longOff(Rng &rng) const;
 
-    void initData(std::vector<uint8_t> &image);
+    /** Fill the data region of @p image (the zeroed P0 image). */
+    void initData(uint8_t *image);
 
     const WorkloadProfile &profile_;
     upc780::Rng rng_;

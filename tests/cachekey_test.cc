@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -195,10 +196,35 @@ TEST(CacheKey, ImageContentHashDistinguishesShippedImages)
     const uint64_t withoutFpa =
         ucode::imageContentHash(ucode::microcodeImageNoFpa());
     EXPECT_NE(withFpa, withoutFpa);
+    // Pinned: every cached result is filed under these values.
+    EXPECT_EQ(withFpa, 0x7dc329f37ed0011dull);
+    EXPECT_EQ(withoutFpa, 0x1a64f782b02ec4d3ull);
     // Memoized: asking again is the same answer (and cheap).
     EXPECT_EQ(ucode::imageContentHash(ucode::microcodeImage()), withFpa);
     EXPECT_EQ(ucode::imageContentHash(ucode::microcodeImageNoFpa()),
               withoutFpa);
+}
+
+TEST(CacheKey, ImageContentHashFollowsContentAtAReusedAddress)
+{
+    // Two custom images built one after the other in the same stack
+    // slot: the second differs from the first in two words, so it must
+    // hash differently, although it lives at the same address.
+    const ucode::MicrocodeImage &stock = ucode::microcodeImage();
+    std::optional<ucode::MicrocodeImage> slot;
+
+    slot.emplace(stock);
+    const ucode::MicrocodeImage *first = &*slot;
+    const uint64_t clean = ucode::imageContentHash(*slot);
+    EXPECT_EQ(clean, ucode::imageContentHash(stock));
+
+    slot.reset();
+    slot.emplace(stock);
+    ASSERT_EQ(&*slot, first);
+    slot->ops[slot->marks.abort].mem = ucode::Mem::WriteV;
+    slot->ops[slot->marks.decode].arg ^= 1;
+    EXPECT_NE(ucode::imageContentHash(*slot), clean);
+    EXPECT_EQ(ucode::imageContentHash(stock), clean);
 }
 
 TEST(Sha256, KnownAnswers)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -95,6 +96,138 @@ TEST(Rng, RunLengthMean)
     for (int i = 0; i < n; ++i)
         sum += r.runLength(10.0);
     EXPECT_NEAR(sum / n, 10.0, 0.5);
+}
+
+namespace
+{
+
+/**
+ * The generator's draws as they were first written, out of line, kept
+ * verbatim as the reference the inline versions must reproduce draw
+ * for draw.
+ */
+class ReferenceRng
+{
+  public:
+    explicit ReferenceRng(const Rng &from)
+    {
+        const auto s = from.state();
+        std::copy(s.begin(), s.end(), s_);
+    }
+
+    uint64_t
+    next()
+    {
+        const uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
+
+    uint64_t
+    below(uint64_t bound)
+    {
+        const uint64_t threshold = -bound % bound;
+        for (;;) {
+            uint64_t r = next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
+
+    double
+    uniform()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
+
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
+
+    size_t
+    weighted(std::span<const double> weights)
+    {
+        double total = 0.0;
+        for (double w : weights)
+            total += std::max(w, 0.0);
+        double x = uniform() * total;
+        for (size_t i = 0; i < weights.size(); ++i) {
+            double w = std::max(weights[i], 0.0);
+            if (x < w)
+                return i;
+            x -= w;
+        }
+        return weights.size() - 1;
+    }
+
+    uint32_t
+    runLength(double mean)
+    {
+        if (mean <= 1.0)
+            return 1;
+        double p = 1.0 / mean;
+        double u = uniform();
+        double len = 1.0 + std::floor(std::log1p(-u) / std::log1p(-p));
+        if (len < 1.0)
+            len = 1.0;
+        if (len > 1e6)
+            len = 1e6;
+        return static_cast<uint32_t>(len);
+    }
+
+  private:
+    static uint64_t
+    rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
+    uint64_t s_[4];
+};
+
+} // namespace
+
+TEST(Rng, MatchesReferenceDrawForDraw)
+{
+    // Bound 2^63+1 rejects about half of all draws, so the redraw path
+    // runs thousands of times; the small bounds take it rarely.
+    const uint64_t bounds[] = {1, 2, 3, 26, 256, 100000,
+                               (1ull << 32) + 1, (1ull << 63) + 1,
+                               UINT64_MAX};
+    const double probs[] = {-0.5, 0.0, 0.03, 0.5, 0.999, 1.0, 2.0};
+    const double weights[] = {1.0, 0.0, -2.0, 0.3, 0.05, 2.5};
+    const double means[] = {0.5, 1.0, 1.5, 10.0, 1e9};
+    for (uint64_t seed : {1ull, 42ull, 0x780780780780ull}) {
+        Rng rng(seed);
+        ReferenceRng ref(rng);
+        for (int i = 0; i < 4000; ++i) {
+            for (uint64_t b : bounds)
+                ASSERT_EQ(rng.below(b), ref.below(b))
+                    << "bound " << b << ", draw " << i;
+            ASSERT_EQ(rng.uniform(), ref.uniform());
+            for (double p : probs)
+                ASSERT_EQ(rng.chance(p), ref.chance(p)) << "p " << p;
+            ASSERT_EQ(rng.weighted(weights), ref.weighted(weights));
+            ASSERT_EQ(rng.weighted(weights, Rng::weightTotal(weights)),
+                      ref.weighted(weights));
+            for (double m : means)
+                ASSERT_EQ(rng.runLength(m), ref.runLength(m))
+                    << "mean " << m;
+        }
+        EXPECT_EQ(rng.next(), ref.next());
+    }
 }
 
 TEST(DiscreteSampler, MatchesWeights)

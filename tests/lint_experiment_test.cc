@@ -14,6 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/error.hh"
 #include "sim/experiment.hh"
 #include "sim/run.hh"
@@ -92,6 +97,73 @@ TEST(LintExperiment, CleanImageMeasuresNormally)
     EXPECT_TRUE(r.ok);
     EXPECT_GT(r.histogram.count(
                   ucode::microcodeImage().marks.decode), 0u);
+}
+
+// ----- the shipped images' verified objects ------------------------------
+
+TEST(VerifiedImage, ShippedReportIdenticalAcrossThreads)
+{
+    // The first lint of a shipped image builds its verified object;
+    // four threads racing to it must all get the same clean report.
+    for (const ucode::MicrocodeImage *img :
+         {&ucode::microcodeImage(), &ucode::microcodeImageNoFpa()}) {
+        std::vector<std::string> json(4);
+        std::vector<std::thread> threads;
+        for (size_t i = 0; i < json.size(); ++i)
+            threads.emplace_back(
+                [&, i] { json[i] = ulint::lint(*img).toJson(); });
+        for (std::thread &t : threads)
+            t.join();
+        const ulint::Report again = ulint::lint(*img);
+        EXPECT_TRUE(again.clean()) << again.toText();
+        EXPECT_GT(again.reachableWords, 0u);
+        for (const std::string &j : json)
+            EXPECT_EQ(j, again.toJson());
+    }
+}
+
+TEST(VerifiedImage, DefectiveOverrideThrowsAfterCleanStockRun)
+{
+    // A clean run on the stock image builds and uses its verified
+    // object; a defective override afterwards is still linted afresh.
+    sim::ExperimentRunner stock(smallConfig());
+    auto p = wkl::timesharing1Profile();
+    p.users = 2;
+    EXPECT_TRUE(stock.runWorkload(p).ok);
+
+    static ucode::MicrocodeImage defective = ucode::microcodeImage();
+    defective.ops[defective.marks.abort].mem = ucode::Mem::WriteV;
+    auto cfg = smallConfig();
+    cfg.machine.image = &defective;
+    sim::ExperimentRunner runner(cfg);
+    EXPECT_THROW((void)runner.runWorkload(p), LintError);
+}
+
+TEST(VerifiedImage, DefectiveCopyAtAReusedAddressThrows)
+{
+    // A clean custom copy runs; then a defective copy is built in the
+    // same stack slot. Nothing verified about the first may carry over
+    // to the second through the shared address.
+    auto p = wkl::timesharing1Profile();
+    p.users = 2;
+    std::optional<ucode::MicrocodeImage> slot;
+
+    slot.emplace(ucode::microcodeImage());
+    const ucode::MicrocodeImage *first = &*slot;
+    auto cfg = smallConfig();
+    cfg.machine.image = &*slot;
+    {
+        sim::ExperimentRunner runner(cfg);
+        EXPECT_TRUE(runner.runWorkload(p).ok);
+    }
+
+    slot.reset();
+    slot.emplace(ucode::microcodeImage());
+    ASSERT_EQ(&*slot, first);
+    slot->ops[slot->marks.abort].mem = ucode::Mem::WriteV;
+    EXPECT_FALSE(ulint::lint(*slot).clean());
+    sim::ExperimentRunner runner(cfg);
+    EXPECT_THROW((void)runner.runWorkload(p), LintError);
 }
 
 // ----- the static<->dynamic attribution cross-check --------------------
