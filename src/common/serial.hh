@@ -10,11 +10,31 @@
  * is exactly one byte sequence for a given machine state, so the
  * snapshot tests can compare restored state by comparing bytes.
  *
- * The reader is fully bounds-checked and throws SnapshotError (never
- * crashes, never reads past the buffer) so a truncated or corrupted
- * snapshot is a typed, recoverable failure. Container-level integrity
- * (magic, version, CRC) lives in snap/snapshot.hh; these classes only
- * guarantee memory safety within one payload.
+ * A component whose checkpoint is a flat list of fields names that
+ * list once, in a field walk:
+ *
+ *     template <class Self, class Ar> static void walk(Self &s, Ar &ar);
+ *
+ * serialize() runs it as walk(*this, writer) with Self = const T, and
+ * deserialize() as walk(*this, reader). Both archives offer the same
+ * field helpers under the same names: the writer's emit the field, the
+ * reader's parse it and apply the check that comes with it — bounded
+ * integers (`below`), range-checked enums (`enum8`), capped length-
+ * prefixed containers (`vec32`/`vec64`), counts that must equal the
+ * restoring machine's own size (`sameCount32`/`sameCount64`), Counters,
+ * generator state and nested components; ucode::walkUAddr bounds a
+ * micro-address by the control store. Restore-only work (re-deriving
+ * caches, rebinding pointers) runs in deserialize() after the walk.
+ * The two sparse encoders — PhysicalMemory pages and Histogram
+ * buckets — are algorithms, not field lists, and stay hand-written
+ * encoder/decoder pairs.
+ *
+ * The reader is fully bounds-checked and throws SnapshotError rather
+ * than read past the buffer, so a truncated or corrupted payload is a
+ * typed, recoverable failure. Container-level integrity (magic,
+ * version, CRC) lives in snap/snapshot.hh; these classes guarantee
+ * memory safety within one payload, and the walk helpers reject the
+ * restored values that would index past a structure.
  */
 
 #ifndef UPC780_COMMON_SERIAL_HH
@@ -24,9 +44,11 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hh"
+#include "common/stats.hh"
 
 namespace upc780
 {
@@ -94,6 +116,77 @@ class ByteWriter
 
     /** Make room for @p n more bytes, so they append without regrowth. */
     void reserve(size_t n) { buf_.reserve(buf_.size() + n); }
+
+    // ----- field-walk helpers (see the file comment) -------------------
+
+    /** An integer in its own width; the reader wants it below a limit. */
+    template <class T>
+    void
+    below(T v, uint64_t, const char *)
+    {
+        using U = std::make_unsigned_t<T>;
+        const U u = static_cast<U>(v);
+        if constexpr (sizeof(U) == 1)
+            u8(u);
+        else if constexpr (sizeof(U) == 2)
+            u16(u);
+        else if constexpr (sizeof(U) == 4)
+            u32(u);
+        else
+            u64(u);
+    }
+
+    /** An enum as one byte; the reader wants it at most its last. */
+    template <class E>
+    void
+    enum8(E e, E, const char *)
+    {
+        u8(static_cast<uint8_t>(e));
+    }
+
+    void counter(const Counter &c) { u64(c.value()); }
+
+    /** A count the reader requires to equal its own size. */
+    void sameCount32(size_t n, const char *) { u32(static_cast<uint32_t>(n)); }
+    void sameCount64(size_t n, const char *) { u64(n); }
+
+    /** Length-prefixed container, each element through @p each. */
+    template <class C, class F>
+    void
+    vec32(const C &c, uint32_t, F &&each)
+    {
+        u32(static_cast<uint32_t>(c.size()));
+        for (const auto &e : c)
+            each(e);
+    }
+
+    template <class C, class F>
+    void
+    vec64(const C &c, uint64_t, F &&each)
+    {
+        u64(c.size());
+        for (const auto &e : c)
+            each(e);
+    }
+
+    void str(const std::string &s, uint64_t) { str(s); }
+
+    /** A generator's state words (anything with state()/setState()). */
+    template <class R>
+    void
+    rng(const R &r)
+    {
+        for (uint64_t s : r.state())
+            u64(s);
+    }
+
+    /** A component with its own serialize()/deserialize(). */
+    template <class T>
+    void
+    nested(const T &t)
+    {
+        t.serialize(*this);
+    }
 
     const std::vector<uint8_t> &data() const { return buf_; }
     size_t size() const { return buf_.size(); }
@@ -218,6 +311,102 @@ class ByteReader
         return v;
     }
 
+    // ----- field-walk helpers (see the file comment) -------------------
+
+    void u8(uint8_t &v) { v = u8(); }
+    void u16(uint16_t &v) { v = u16(); }
+    void u32(uint32_t &v) { v = u32(); }
+    void u64(uint64_t &v) { v = u64(); }
+    void i32(int32_t &v) { v = i32(); }
+    void i64(int64_t &v) { v = i64(); }
+    void f64(double &v) { v = f64(); }
+    void b(bool &v) { v = b(); }
+    void str(std::string &s, uint64_t max) { s = str(max); }
+
+    /**
+     * An integer in its own width that must be below @p limit (signed
+     * values compare as their unsigned bit pattern, so a negative one
+     * is out of range too).
+     */
+    template <class T>
+    void
+    below(T &v, uint64_t limit, const char *what)
+    {
+        using U = std::make_unsigned_t<T>;
+        U u;
+        if constexpr (sizeof(U) == 1)
+            u = u8();
+        else if constexpr (sizeof(U) == 2)
+            u = u16();
+        else if constexpr (sizeof(U) == 4)
+            u = u32();
+        else
+            u = u64();
+        if (u >= limit)
+            sim_throw(SnapshotError,
+                      "snapshot payload: %s %llu out of range (limit "
+                      "%llu) at offset %zu", what,
+                      static_cast<unsigned long long>(u),
+                      static_cast<unsigned long long>(limit),
+                      pos_ - sizeof(U));
+        v = static_cast<T>(u);
+    }
+
+    /** An enum byte that must not exceed @p last. */
+    template <class E>
+    void
+    enum8(E &e, E last, const char *what)
+    {
+        const uint8_t v = u8();
+        if (v > static_cast<uint8_t>(last))
+            sim_throw(SnapshotError,
+                      "snapshot payload: bad %s value %u at offset %zu",
+                      what, v, pos_ - 1);
+        e = static_cast<E>(v);
+    }
+
+    void counter(Counter &c) { c.set(u64()); }
+
+    /** A count that must equal this machine's own @p n. */
+    void sameCount32(size_t n, const char *what) { sameCount(u32(), n, what); }
+    void sameCount64(size_t n, const char *what) { sameCount(u64(), n, what); }
+
+    /** Length-prefixed container (count capped at @p max). */
+    template <class C, class F>
+    void
+    vec32(C &c, uint32_t max, F &&each)
+    {
+        c.resize(size32(max));
+        for (auto &e : c)
+            each(e);
+    }
+
+    template <class C, class F>
+    void
+    vec64(C &c, uint64_t max, F &&each)
+    {
+        c.resize(static_cast<size_t>(size(max)));
+        for (auto &e : c)
+            each(e);
+    }
+
+    template <class R>
+    void
+    rng(R &r)
+    {
+        auto s = r.state();
+        for (uint64_t &v : s)
+            v = u64();
+        r.setState(s);
+    }
+
+    template <class T>
+    void
+    nested(T &t)
+    {
+        t.deserialize(*this);
+    }
+
     /** Advance past @p n bytes without reading them. */
     void
     skip(size_t n)
@@ -241,6 +430,16 @@ class ByteReader
     }
 
   private:
+    void
+    sameCount(uint64_t got, size_t n, const char *what) const
+    {
+        if (got != n)
+            sim_throw(SnapshotError,
+                      "snapshot payload: %s %llu does not match this "
+                      "machine's %zu", what,
+                      static_cast<unsigned long long>(got), n);
+    }
+
     void
     need(size_t n) const
     {

@@ -1541,270 +1541,139 @@ Ebox::bankSpFor(Mode new_mode, bool to_interrupt_stack)
 }
 
 // --------------------------------------------------------------------------
-// Checkpointing. The field order below is the serialization contract:
-// it follows the member declaration order in ebox.hh, and both
-// directions must be edited together whenever a stateful member is
-// added. Wiring (references, hooks), config knobs (rmodeOpt_), the
-// per-cycle scratch (now_, obsEv_) and curInfo_ (derived from curOp_)
-// are intentionally absent.
+// Checkpointing. walk() is the serialization contract: it follows the
+// member declaration order in ebox.hh and must be edited whenever a
+// stateful member is added. Wiring (references, hooks), config knobs
+// (rmodeOpt_), the per-cycle scratch (now_, obsEv_) and curInfo_
+// (re-derived from curOp_ and its presence flag) are intentionally
+// absent. Every restored micro-address is bounded by the control
+// store, and every restored index by the structure it indexes.
 // --------------------------------------------------------------------------
 
-namespace
+template <class Self, class Ar>
+void
+Ebox::walk(Self &s, Ar &ar, bool &hasInfo)
 {
+    for (auto &g : s.gpr_)
+        ar.u32(g);
+    ar.u32(s.psl_);
+    ar.u32(s.pc_);
+    for (auto &p : s.prRegs_)
+        ar.u32(p);
+    ar.u32(s.map_.sbr);
+    ar.u32(s.map_.slr);
+    ar.u32(s.map_.p0br);
+    ar.u32(s.map_.p0lr);
+    ar.u32(s.map_.p1br);
+    ar.u32(s.map_.p1lr);
+    ar.b(s.mapEnabled_);
 
-/** Bounds-check a deserialized enum byte. */
-template <typename E>
-E
-snapEnum(uint8_t v, uint8_t max, const char *what)
-{
-    if (v > max)
-        sim_throw(SnapshotError, "snapshot EBOX: bad %s value %u", what, v);
-    return static_cast<E>(v);
+    ucode::walkUAddr(ar, s.upc_, "EBOX upc");
+    ar.b(s.halted_);
+    ar.vec32(s.ustack_, 1 << 16,
+             [&](auto &a) { ucode::walkUAddr(ar, a, "EBOX ustack"); });
+    ar.b(s.flag_);
+    ar.u32(s.taddr_);
+    ar.u64(s.mdr_);
+    ar.u8(s.dpMemSize_);
+
+    ar.b(s.memDone_);
+    ar.b(s.memSuppressed_);
+    ar.u64(s.stallRemaining_);
+    ar.b(s.pendingComplete_);
+    ar.b(s.pendDispatch_);
+    ucode::walkUAddr(ar, s.pendStallAddr_, "EBOX stall address");
+
+    ar.enum8(s.trapKind_, TrapKind::TbMissI, "EBOX trap kind");
+    ucode::walkUAddr(ar, s.trappedUpc_, "EBOX trapped upc");
+    ar.u32(s.missVa_);
+    ar.u32(s.pteVa_);
+    ar.b(s.trapEntryPending_);
+    ucode::walkUAddr(ar, s.trapEntry_, "EBOX trap entry");
+    ar.u32(s.trapSavedTaddr_);
+    ar.u64(s.trapSavedMdr_);
+    ar.b(s.trapSavedFlag_);
+
+    ar.u32(s.intVector_);
+    ar.u32(s.intIpl_);
+    ar.u32(s.intHandler_);
+    ar.b(s.intUseIstack_);
+
+    ar.vec32(s.mcheckQueue_, 1 << 16, [&](auto &c) { ar.u32(c); });
+    ar.u32(s.mcheckCode_);
+    ar.u64(s.mchecksDelivered_);
+    ar.b(s.csRetried_);
+
+    ar.u8(s.curOp_);
+    ar.b(hasInfo);
+    ar.enum8(s.phase_, Phase::PostSpecs, "EBOX phase");
+    ar.u32(s.scan_);
+    ar.below(s.curSpecIdx_, std::size(s.opnd_), "EBOX specifier index");
+    ar.enum8(s.curSpec_.mode, AddrMode::DispLongDeferred,
+             "EBOX addressing mode");
+    ar.below(s.curSpec_.reg, std::size(s.gpr_), "EBOX specifier register");
+    ar.b(s.curSpec_.indexed);
+    ar.below(s.curSpec_.indexReg, std::size(s.gpr_), "EBOX index register");
+    ar.u8(s.curSpec_.literal);
+    ar.i32(s.curSpec_.disp);
+    ar.u64(s.curSpec_.immediate);
+    ar.u8(s.curSpec_.length);
+    ar.enum8(s.curAccess_, Access::BranchW, "EBOX access class");
+    ar.enum8(s.curType_, DataType::DFloat, "EBOX data type");
+    ar.u32(s.curSize_);
+    ar.u32(s.curEncLen_);
+    ar.b(s.idxTailPending_);
+    ar.i32(s.branchDisp_);
+
+    for (auto &o : s.opnd_) {
+        ar.enum8(o.kind, Opnd::Kind::FieldReg, "EBOX operand kind");
+        ar.u64(o.value);
+        ar.u32(o.addr);
+        ar.below(o.reg, std::size(s.gpr_), "EBOX operand register");
+    }
+    ar.vec32(s.results_, 1 << 16, [&](auto &v) { ar.u64(v); });
+    ar.u32(s.curResultIdx_);
+    ar.u32(s.nextResultIdx_);
+    ar.b(s.haveModifyMem_);
+    ar.u32(s.modifyAddr_);
+    ar.u64(s.modifyResult_);
+    ar.b(s.modifyPending_);
+
+    ar.u32(s.loopCount_);
+    ar.vec32(s.reads_, 1 << 24, [&](auto &t) {
+        ar.u32(t.addr);
+        ar.u8(t.size);
+    });
+    ar.below(s.readIdx_, s.reads_.size() + 1, "EBOX read index");
+    ar.vec32(s.writes_, 1 << 24, [&](auto &t) {
+        ar.u32(t.addr);
+        ar.u8(t.size);
+        ar.u64(t.value);
+    });
+    ar.below(s.writeIdx_, s.writes_.size() + 1, "EBOX write index");
+    ar.b(s.hasNumarg_);
+    ar.u32(s.numargWrite_.addr);
+    ar.u8(s.numargWrite_.size);
+    ar.u64(s.numargWrite_.value);
+    ar.u32(s.target_);
+
+    ar.u64(s.instructions_);
 }
-
-} // namespace
 
 void
 Ebox::serialize(ByteWriter &w) const
 {
-    for (uint32_t g : gpr_)
-        w.u32(g);
-    w.u32(psl_);
-    w.u32(pc_);
-    for (uint32_t p : prRegs_)
-        w.u32(p);
-    w.u32(map_.sbr);
-    w.u32(map_.slr);
-    w.u32(map_.p0br);
-    w.u32(map_.p0lr);
-    w.u32(map_.p1br);
-    w.u32(map_.p1lr);
-    w.b(mapEnabled_);
-
-    w.u16(upc_);
-    w.b(halted_);
-    w.u32(static_cast<uint32_t>(ustack_.size()));
-    for (ucode::UAddr a : ustack_)
-        w.u16(a);
-    w.b(flag_);
-    w.u32(taddr_);
-    w.u64(mdr_);
-    w.u8(dpMemSize_);
-
-    w.b(memDone_);
-    w.b(memSuppressed_);
-    w.u64(stallRemaining_);
-    w.b(pendingComplete_);
-    w.b(pendDispatch_);
-    w.u16(pendStallAddr_);
-
-    w.u8(static_cast<uint8_t>(trapKind_));
-    w.u16(trappedUpc_);
-    w.u32(missVa_);
-    w.u32(pteVa_);
-    w.b(trapEntryPending_);
-    w.u16(trapEntry_);
-    w.u32(trapSavedTaddr_);
-    w.u64(trapSavedMdr_);
-    w.b(trapSavedFlag_);
-
-    w.u32(intVector_);
-    w.u32(intIpl_);
-    w.u32(intHandler_);
-    w.b(intUseIstack_);
-
-    w.u32(static_cast<uint32_t>(mcheckQueue_.size()));
-    for (uint32_t c : mcheckQueue_)
-        w.u32(c);
-    w.u32(mcheckCode_);
-    w.u64(mchecksDelivered_);
-    w.b(csRetried_);
-
-    w.u8(curOp_);
-    w.b(curInfo_ != nullptr);
-    w.u8(static_cast<uint8_t>(phase_));
-    w.u32(scan_);
-    w.u32(curSpecIdx_);
-    w.u8(static_cast<uint8_t>(curSpec_.mode));
-    w.u8(curSpec_.reg);
-    w.b(curSpec_.indexed);
-    w.u8(curSpec_.indexReg);
-    w.u8(curSpec_.literal);
-    w.i32(curSpec_.disp);
-    w.u64(curSpec_.immediate);
-    w.u8(curSpec_.length);
-    w.u8(static_cast<uint8_t>(curAccess_));
-    w.u8(static_cast<uint8_t>(curType_));
-    w.u32(curSize_);
-    w.u32(curEncLen_);
-    w.b(idxTailPending_);
-    w.i32(branchDisp_);
-
-    for (const Opnd &o : opnd_) {
-        w.u8(static_cast<uint8_t>(o.kind));
-        w.u64(o.value);
-        w.u32(o.addr);
-        w.u8(o.reg);
-    }
-    w.u32(static_cast<uint32_t>(results_.size()));
-    for (uint64_t v : results_)
-        w.u64(v);
-    w.u32(curResultIdx_);
-    w.u32(nextResultIdx_);
-    w.b(haveModifyMem_);
-    w.u32(modifyAddr_);
-    w.u64(modifyResult_);
-    w.b(modifyPending_);
-
-    w.u32(loopCount_);
-    w.u32(static_cast<uint32_t>(reads_.size()));
-    for (const TimedRead &t : reads_) {
-        w.u32(t.addr);
-        w.u8(t.size);
-    }
-    w.u64(readIdx_);
-    w.u32(static_cast<uint32_t>(writes_.size()));
-    for (const TimedWrite &t : writes_) {
-        w.u32(t.addr);
-        w.u8(t.size);
-        w.u64(t.value);
-    }
-    w.u64(writeIdx_);
-    w.b(hasNumarg_);
-    w.u32(numargWrite_.addr);
-    w.u8(numargWrite_.size);
-    w.u64(numargWrite_.value);
-    w.u32(target_);
-
-    w.u64(instructions_);
+    bool hasInfo = curInfo_ != nullptr;
+    walk(*this, w, hasInfo);
 }
 
 void
 Ebox::deserialize(ByteReader &r)
 {
-    for (uint32_t &g : gpr_)
-        g = r.u32();
-    psl_ = r.u32();
-    pc_ = r.u32();
-    for (uint32_t &p : prRegs_)
-        p = r.u32();
-    map_.sbr = r.u32();
-    map_.slr = r.u32();
-    map_.p0br = r.u32();
-    map_.p0lr = r.u32();
-    map_.p1br = r.u32();
-    map_.p1lr = r.u32();
-    mapEnabled_ = r.b();
+    bool hasInfo = false;
+    walk(*this, r, hasInfo);
+    curInfo_ = hasInfo ? &opcodeInfo(curOp_) : nullptr;
     ibox_.setMapEnable(mapEnabled_);
-
-    upc_ = r.u16();
-    halted_ = r.b();
-    ustack_.resize(r.size32(1 << 16));
-    for (ucode::UAddr &a : ustack_)
-        a = r.u16();
-    flag_ = r.b();
-    taddr_ = r.u32();
-    mdr_ = r.u64();
-    dpMemSize_ = r.u8();
-
-    memDone_ = r.b();
-    memSuppressed_ = r.b();
-    stallRemaining_ = r.u64();
-    pendingComplete_ = r.b();
-    pendDispatch_ = r.b();
-    pendStallAddr_ = r.u16();
-
-    trapKind_ = snapEnum<TrapKind>(r.u8(), 2, "trap kind");
-    trappedUpc_ = r.u16();
-    missVa_ = r.u32();
-    pteVa_ = r.u32();
-    trapEntryPending_ = r.b();
-    trapEntry_ = r.u16();
-    trapSavedTaddr_ = r.u32();
-    trapSavedMdr_ = r.u64();
-    trapSavedFlag_ = r.b();
-
-    intVector_ = r.u32();
-    intIpl_ = r.u32();
-    intHandler_ = r.u32();
-    intUseIstack_ = r.b();
-
-    mcheckQueue_.resize(r.size32(1 << 16));
-    for (uint32_t &c : mcheckQueue_)
-        c = r.u32();
-    mcheckCode_ = r.u32();
-    mchecksDelivered_ = r.u64();
-    csRetried_ = r.b();
-
-    curOp_ = r.u8();
-    curInfo_ = r.b() ? &opcodeInfo(curOp_) : nullptr;
-    phase_ = snapEnum<Phase>(r.u8(), 1, "phase");
-    scan_ = r.u32();
-    curSpecIdx_ = r.u32();
-    curSpec_.mode = snapEnum<AddrMode>(
-        r.u8(), static_cast<uint8_t>(AddrMode::DispLongDeferred),
-        "addressing mode");
-    curSpec_.reg = r.u8();
-    curSpec_.indexed = r.b();
-    curSpec_.indexReg = r.u8();
-    curSpec_.literal = r.u8();
-    curSpec_.disp = r.i32();
-    curSpec_.immediate = r.u64();
-    curSpec_.length = r.u8();
-    curAccess_ = snapEnum<Access>(
-        r.u8(), static_cast<uint8_t>(Access::BranchW), "access class");
-    curType_ = snapEnum<DataType>(
-        r.u8(), static_cast<uint8_t>(DataType::DFloat), "data type");
-    curSize_ = r.u32();
-    curEncLen_ = r.u32();
-    idxTailPending_ = r.b();
-    branchDisp_ = r.i32();
-
-    for (Opnd &o : opnd_) {
-        o.kind = snapEnum<Opnd::Kind>(
-            r.u8(), static_cast<uint8_t>(Opnd::Kind::FieldReg),
-            "operand kind");
-        o.value = r.u64();
-        o.addr = r.u32();
-        o.reg = r.u8();
-    }
-    results_.resize(r.size32(1 << 16));
-    for (uint64_t &v : results_)
-        v = r.u64();
-    curResultIdx_ = r.u32();
-    nextResultIdx_ = r.u32();
-    haveModifyMem_ = r.b();
-    modifyAddr_ = r.u32();
-    modifyResult_ = r.u64();
-    modifyPending_ = r.b();
-
-    loopCount_ = r.u32();
-    reads_.resize(r.size32(1 << 24));
-    for (TimedRead &t : reads_) {
-        t.addr = r.u32();
-        t.size = r.u8();
-    }
-    readIdx_ = r.u64();
-    if (readIdx_ > reads_.size())
-        sim_throw(SnapshotError, "snapshot EBOX: read index %zu of %zu",
-                  readIdx_, reads_.size());
-    writes_.resize(r.size32(1 << 24));
-    for (TimedWrite &t : writes_) {
-        t.addr = r.u32();
-        t.size = r.u8();
-        t.value = r.u64();
-    }
-    writeIdx_ = r.u64();
-    if (writeIdx_ > writes_.size())
-        sim_throw(SnapshotError, "snapshot EBOX: write index %zu of %zu",
-                  writeIdx_, writes_.size());
-    hasNumarg_ = r.b();
-    numargWrite_.addr = r.u32();
-    numargWrite_.size = r.u8();
-    numargWrite_.value = r.u64();
-    target_ = r.u32();
-
-    instructions_ = r.u64();
 
     // Decoded rows and micro-trace links are derived state, never part
     // of the snapshot: re-derive them so a restore can never run on a

@@ -209,6 +209,10 @@ class Ebox
   private:
     friend class ExecUnit;
 
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar, bool &hasInfo);
+
     // ----- per-operand state ----------------------------------------------
     struct Opnd
     {

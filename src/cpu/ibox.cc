@@ -102,47 +102,37 @@ IBox::startFill(uint64_t now)
     obs::count(obs::Ev::IbFills);
 }
 
+template <class Self, class Ar>
+void
+IBox::walk(Self &s, Ar &ar)
+{
+    for (auto &b : s.buf_)
+        ar.u8(b);
+    ar.below(s.count_, Capacity + 1, "IB byte count");
+    ar.u32(s.fetchVa_);
+    ar.b(s.mapEnabled_);
+    ar.b(s.fillPending_);
+    ar.u64(s.fillReadyAt_);
+    ar.u32(s.fillData_);
+    ar.u32(s.fillVa_);
+    ar.b(s.tbMiss_);
+    ar.u32(s.tbMissVa_);
+    ar.b(s.justRedirected_);
+    ar.counter(s.stats_.fills);
+    ar.counter(s.stats_.redirects);
+    ar.counter(s.stats_.tbMisses);
+}
+
 void
 IBox::serialize(ByteWriter &w) const
 {
-    for (uint8_t b : buf_)
-        w.u8(b);
-    w.u32(count_);
-    w.u32(fetchVa_);
-    w.b(mapEnabled_);
-    w.b(fillPending_);
-    w.u64(fillReadyAt_);
-    w.u32(fillData_);
-    w.u32(fillVa_);
-    w.b(tbMiss_);
-    w.u32(tbMissVa_);
-    w.b(justRedirected_);
-    w.u64(stats_.fills.value());
-    w.u64(stats_.redirects.value());
-    w.u64(stats_.tbMisses.value());
+    walk(*this, w);
 }
 
 void
 IBox::deserialize(ByteReader &r)
 {
-    for (uint8_t &b : buf_)
-        b = r.u8();
-    count_ = r.u32();
-    if (count_ > Capacity)
-        sim_throw(SnapshotError, "snapshot IB byte count %u exceeds %u",
-                  count_, Capacity);
-    fetchVa_ = r.u32();
-    mapEnabled_ = r.b();
-    fillPending_ = r.b();
-    fillReadyAt_ = r.u64();
-    fillData_ = r.u32();
-    fillVa_ = r.u32();
-    tbMiss_ = r.b();
-    tbMissVa_ = r.u32();
-    justRedirected_ = r.b();
-    stats_.fills.set(r.u64());
-    stats_.redirects.set(r.u64());
-    stats_.tbMisses.set(r.u64());
+    walk(*this, r);
 }
 
 } // namespace upc780::cpu

@@ -87,6 +87,10 @@ class IBox
     void deserialize(ByteReader &r);
 
   private:
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
+
     mem::MemorySubsystem &memsys_;
     mmu::TranslationBuffer &tb_;
 

@@ -110,48 +110,35 @@ InstrTracer::clear()
     next_ = 0;
 }
 
+template <class Self, class Ar>
+void
+InstrTracer::walk(Self &s, Ar &ar)
+{
+    ar.sameCount64(s.ring_.size(), "instruction trace depth");
+    for (auto &rec : s.ring_) {
+        ar.u64(rec.seq);
+        ar.u32(rec.pc);
+        ar.u8(rec.opcode);
+        ar.u32(rec.r0);
+        ar.u32(rec.r6);
+        ar.u32(rec.sp);
+        ar.u32(rec.psl);
+        ar.str(rec.text, 1 << 20);
+    }
+    ar.below(s.next_, s.ring_.size(), "instruction trace cursor");
+    ar.u64(s.seq_);
+}
+
 void
 InstrTracer::serialize(ByteWriter &w) const
 {
-    w.u64(ring_.size());
-    for (const TraceRecord &rec : ring_) {
-        w.u64(rec.seq);
-        w.u32(rec.pc);
-        w.u8(rec.opcode);
-        w.u32(rec.r0);
-        w.u32(rec.r6);
-        w.u32(rec.sp);
-        w.u32(rec.psl);
-        w.str(rec.text);
-    }
-    w.u64(next_);
-    w.u64(seq_);
+    walk(*this, w);
 }
 
 void
 InstrTracer::deserialize(ByteReader &r)
 {
-    const uint64_t n = r.u64();
-    if (n != ring_.size())
-        sim_throw(SnapshotError,
-                  "snapshot instruction trace depth %llu does not match "
-                  "the tracer's %zu",
-                  static_cast<unsigned long long>(n), ring_.size());
-    for (TraceRecord &rec : ring_) {
-        rec.seq = r.u64();
-        rec.pc = r.u32();
-        rec.opcode = r.u8();
-        rec.r0 = r.u32();
-        rec.r6 = r.u32();
-        rec.sp = r.u32();
-        rec.psl = r.u32();
-        rec.text = r.str();
-    }
-    next_ = r.u64();
-    if (next_ >= ring_.size())
-        sim_throw(SnapshotError, "snapshot instruction trace cursor %zu "
-                  "out of range", next_);
-    seq_ = r.u64();
+    walk(*this, r);
 }
 
 } // namespace upc780::cpu

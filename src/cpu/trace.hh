@@ -71,6 +71,10 @@ class InstrTracer : public CycleProbe
     void deserialize(ByteReader &r);
 
   private:
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
+
     Vax780 &machine_;
     size_t depth_;
     bool disassemble_;

@@ -158,24 +158,27 @@ Vax780::runBatch(uint64_t budget, bool stop_at_instruction)
     return done;
 }
 
+template <class Self, class Ar>
+void
+Vax780::walk(Self &s, Ar &ar)
+{
+    ar.u64(s.cycles_);
+    ar.nested(s.memsys_);
+    ar.nested(s.tb_);
+    ar.nested(s.ibox_);
+    ar.nested(s.ebox_);
+}
+
 void
 Vax780::serialize(ByteWriter &w) const
 {
-    w.u64(cycles_);
-    memsys_.serialize(w);
-    tb_.serialize(w);
-    ibox_.serialize(w);
-    ebox_.serialize(w);
+    walk(*this, w);
 }
 
 void
 Vax780::deserialize(ByteReader &r)
 {
-    cycles_ = r.u64();
-    memsys_.deserialize(r);
-    tb_.deserialize(r);
-    ibox_.deserialize(r);
-    ebox_.deserialize(r);
+    walk(*this, r);
 }
 
 } // namespace upc780::cpu

@@ -146,6 +146,10 @@ class Vax780 : public InterruptController
     void deserialize(ByteReader &r);
 
   private:
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
+
     mem::MemorySubsystem memsys_;
     mmu::TranslationBuffer tb_;
     IBox ibox_;

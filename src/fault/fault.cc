@@ -161,40 +161,31 @@ FaultInjector::takeMcheck()
     return code;
 }
 
+template <class Self, class Ar>
+void
+FaultInjector::walk(Self &s, Ar &ar)
+{
+    ar.rng(s.rng_);
+    for (auto &v : s.stats_.injected)
+        ar.u64(v);
+    ar.u64(s.now_);
+    ar.u64(s.fills_);
+    ar.u64(s.sbiTransactions_);
+    ar.u64(s.tbLookups_);
+    ar.u64(s.csFetches_);
+    ar.vec32(s.pending_, 1 << 16, [&](auto &c) { ar.u32(c); });
+}
+
 void
 FaultInjector::serialize(ByteWriter &w) const
 {
-    for (uint64_t s : rng_.state())
-        w.u64(s);
-    for (uint64_t v : stats_.injected)
-        w.u64(v);
-    w.u64(now_);
-    w.u64(fills_);
-    w.u64(sbiTransactions_);
-    w.u64(tbLookups_);
-    w.u64(csFetches_);
-    w.u32(static_cast<uint32_t>(pending_.size()));
-    for (uint32_t c : pending_)
-        w.u32(c);
+    walk(*this, w);
 }
 
 void
 FaultInjector::deserialize(ByteReader &r)
 {
-    std::array<uint64_t, 4> s;
-    for (uint64_t &v : s)
-        v = r.u64();
-    rng_.setState(s);
-    for (uint64_t &v : stats_.injected)
-        v = r.u64();
-    now_ = r.u64();
-    fills_ = r.u64();
-    sbiTransactions_ = r.u64();
-    tbLookups_ = r.u64();
-    csFetches_ = r.u64();
-    pending_.resize(r.size32(1 << 16));
-    for (uint32_t &c : pending_)
-        c = r.u32();
+    walk(*this, r);
 }
 
 } // namespace upc780::fault

@@ -218,6 +218,10 @@ class FaultInjector
     void deserialize(ByteReader &r);
 
   private:
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
+
     /** Decide whether kind @p k fires on access @p n of its class. */
     bool fires(FaultKind k, uint64_t n, double rate);
     void inject(FaultKind k);

@@ -133,48 +133,35 @@ Cache::invalidateAll()
     ++stats_.invalidates;
 }
 
+template <class Self, class Ar>
+void
+Cache::walk(Self &s, Ar &ar)
+{
+    ar.sameCount32(s.lines_.size(), "cache line count");
+    for (auto &l : s.lines_) {
+        ar.b(l.valid);
+        ar.u32(l.tag);
+    }
+    ar.counter(s.stats_.dReads);
+    ar.counter(s.stats_.dReadMisses);
+    ar.counter(s.stats_.iReads);
+    ar.counter(s.stats_.iReadMisses);
+    ar.counter(s.stats_.writes);
+    ar.counter(s.stats_.writeHits);
+    ar.counter(s.stats_.invalidates);
+    ar.rng(s.rng_);
+}
+
 void
 Cache::serialize(ByteWriter &w) const
 {
-    w.u32(static_cast<uint32_t>(lines_.size()));
-    for (const Line &l : lines_) {
-        w.b(l.valid);
-        w.u32(l.tag);
-    }
-    w.u64(stats_.dReads.value());
-    w.u64(stats_.dReadMisses.value());
-    w.u64(stats_.iReads.value());
-    w.u64(stats_.iReadMisses.value());
-    w.u64(stats_.writes.value());
-    w.u64(stats_.writeHits.value());
-    w.u64(stats_.invalidates.value());
-    for (uint64_t s : rng_.state())
-        w.u64(s);
+    walk(*this, w);
 }
 
 void
 Cache::deserialize(ByteReader &r)
 {
-    const uint32_t n = r.u32();
-    if (n != lines_.size())
-        sim_throw(SnapshotError,
-                  "snapshot cache has %u lines but the machine has %zu",
-                  n, lines_.size());
-    for (Line &l : lines_) {
-        l.valid = r.b();
-        l.tag = r.u32();
-    }
-    stats_.dReads.set(r.u64());
-    stats_.dReadMisses.set(r.u64());
-    stats_.iReads.set(r.u64());
-    stats_.iReadMisses.set(r.u64());
-    stats_.writes.set(r.u64());
-    stats_.writeHits.set(r.u64());
-    stats_.invalidates.set(r.u64());
-    std::array<uint64_t, 4> s;
-    for (uint64_t &v : s)
-        v = r.u64();
-    rng_.setState(s);
+    walk(*this, r);
 }
 
 } // namespace upc780::mem

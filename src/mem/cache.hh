@@ -101,6 +101,10 @@ class Cache
     void deserialize(ByteReader &r);
 
   private:
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
+
     struct Line
     {
         bool valid = false;

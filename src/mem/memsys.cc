@@ -102,24 +102,27 @@ MemorySubsystem::write(PAddr pa, uint32_t size, uint64_t data,
     return r;
 }
 
+template <class Self, class Ar>
+void
+MemorySubsystem::walk(Self &s, Ar &ar)
+{
+    ar.nested(s.memory_);
+    ar.nested(s.cache_);
+    ar.nested(s.sbi_);
+    ar.nested(s.writeBuffer_);
+    ar.counter(s.unaligned_);
+}
+
 void
 MemorySubsystem::serialize(ByteWriter &w) const
 {
-    memory_.serialize(w);
-    cache_.serialize(w);
-    sbi_.serialize(w);
-    writeBuffer_.serialize(w);
-    w.u64(unaligned_.value());
+    walk(*this, w);
 }
 
 void
 MemorySubsystem::deserialize(ByteReader &r)
 {
-    memory_.deserialize(r);
-    cache_.deserialize(r);
-    sbi_.deserialize(r);
-    writeBuffer_.deserialize(r);
-    unaligned_.set(r.u64());
+    walk(*this, r);
 }
 
 uint32_t

@@ -118,6 +118,10 @@ class MemorySubsystem
     const WriteBuffer &writeBuffer() const { return writeBuffer_; }
 
   private:
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
+
     /** One aligned cache reference; returns stall cycles. */
     uint64_t readRef(PAddr pa, uint64_t now, bool istream, bool &miss);
 

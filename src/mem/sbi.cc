@@ -41,24 +41,27 @@ Sbi::startWrite(uint64_t now)
     return start(now, config_.writeLatency);
 }
 
+template <class Self, class Ar>
+void
+Sbi::walk(Self &s, Ar &ar)
+{
+    ar.u64(s.busyUntil_);
+    ar.counter(s.stats_.readTransactions);
+    ar.counter(s.stats_.writeTransactions);
+    ar.counter(s.stats_.contentionCycles);
+    ar.counter(s.stats_.timeouts);
+}
+
 void
 Sbi::serialize(ByteWriter &w) const
 {
-    w.u64(busyUntil_);
-    w.u64(stats_.readTransactions.value());
-    w.u64(stats_.writeTransactions.value());
-    w.u64(stats_.contentionCycles.value());
-    w.u64(stats_.timeouts.value());
+    walk(*this, w);
 }
 
 void
 Sbi::deserialize(ByteReader &r)
 {
-    busyUntil_ = r.u64();
-    stats_.readTransactions.set(r.u64());
-    stats_.writeTransactions.set(r.u64());
-    stats_.contentionCycles.set(r.u64());
-    stats_.timeouts.set(r.u64());
+    walk(*this, r);
 }
 
 } // namespace upc780::mem

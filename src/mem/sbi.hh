@@ -86,6 +86,10 @@ class Sbi
     void deserialize(ByteReader &r);
 
   private:
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
+
     uint64_t start(uint64_t now, uint32_t latency);
 
     SbiConfig config_;

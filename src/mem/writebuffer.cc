@@ -45,30 +45,28 @@ WriteBuffer::drainedAt() const
     return *std::max_element(inflight_.begin(), inflight_.end());
 }
 
+template <class Self, class Ar>
+void
+WriteBuffer::walk(Self &s, Ar &ar)
+{
+    ar.sameCount32(s.inflight_.size(), "write buffer depth");
+    for (auto &t : s.inflight_)
+        ar.u64(t);
+    ar.counter(s.stats_.writes);
+    ar.counter(s.stats_.stalls);
+    ar.counter(s.stats_.stallCycles);
+}
+
 void
 WriteBuffer::serialize(ByteWriter &w) const
 {
-    w.u32(static_cast<uint32_t>(inflight_.size()));
-    for (uint64_t t : inflight_)
-        w.u64(t);
-    w.u64(stats_.writes.value());
-    w.u64(stats_.stalls.value());
-    w.u64(stats_.stallCycles.value());
+    walk(*this, w);
 }
 
 void
 WriteBuffer::deserialize(ByteReader &r)
 {
-    const uint32_t n = r.u32();
-    if (n != inflight_.size())
-        sim_throw(SnapshotError,
-                  "snapshot write buffer depth %u does not match the "
-                  "machine's %zu", n, inflight_.size());
-    for (uint64_t &t : inflight_)
-        t = r.u64();
-    stats_.writes.set(r.u64());
-    stats_.stalls.set(r.u64());
-    stats_.stallCycles.set(r.u64());
+    walk(*this, r);
 }
 
 } // namespace upc780::mem

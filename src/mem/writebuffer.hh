@@ -58,6 +58,10 @@ class WriteBuffer
     void deserialize(ByteReader &r);
 
   private:
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
+
     Sbi &sbi_;
     uint32_t depth_;
     /** Completion cycles of in-flight writes (ring, size = depth). */

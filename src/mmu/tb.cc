@@ -116,46 +116,36 @@ TranslationBuffer::invalidateSingle(VAddr va)
         e.valid = false;
 }
 
+template <class Self, class Ar>
+void
+TranslationBuffer::walk(Self &s, Ar &ar)
+{
+    ar.sameCount32(s.entries_.size(), "TB entry count");
+    for (auto &e : s.entries_) {
+        ar.b(e.valid);
+        ar.u32(e.tag);
+        ar.u32(e.pfn);
+    }
+    ar.counter(s.stats_.dLookups);
+    ar.counter(s.stats_.dMisses);
+    ar.counter(s.stats_.iLookups);
+    ar.counter(s.stats_.iMisses);
+    ar.counter(s.stats_.fills);
+    ar.counter(s.stats_.processFlushes);
+    ar.counter(s.stats_.allFlushes);
+    ar.counter(s.stats_.parityInvalidates);
+}
+
 void
 TranslationBuffer::serialize(ByteWriter &w) const
 {
-    w.u32(static_cast<uint32_t>(entries_.size()));
-    for (const Entry &e : entries_) {
-        w.b(e.valid);
-        w.u32(e.tag);
-        w.u32(e.pfn);
-    }
-    w.u64(stats_.dLookups.value());
-    w.u64(stats_.dMisses.value());
-    w.u64(stats_.iLookups.value());
-    w.u64(stats_.iMisses.value());
-    w.u64(stats_.fills.value());
-    w.u64(stats_.processFlushes.value());
-    w.u64(stats_.allFlushes.value());
-    w.u64(stats_.parityInvalidates.value());
+    walk(*this, w);
 }
 
 void
 TranslationBuffer::deserialize(ByteReader &r)
 {
-    const uint32_t n = r.u32();
-    if (n != entries_.size())
-        sim_throw(SnapshotError,
-                  "snapshot TB has %u entries but the machine has %zu",
-                  n, entries_.size());
-    for (Entry &e : entries_) {
-        e.valid = r.b();
-        e.tag = r.u32();
-        e.pfn = r.u32();
-    }
-    stats_.dLookups.set(r.u64());
-    stats_.dMisses.set(r.u64());
-    stats_.iLookups.set(r.u64());
-    stats_.iMisses.set(r.u64());
-    stats_.fills.set(r.u64());
-    stats_.processFlushes.set(r.u64());
-    stats_.allFlushes.set(r.u64());
-    stats_.parityInvalidates.set(r.u64());
+    walk(*this, r);
 }
 
 } // namespace upc780::mmu

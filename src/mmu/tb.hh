@@ -102,6 +102,10 @@ class TranslationBuffer
     void deserialize(ByteReader &r);
 
   private:
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
+
     struct Entry
     {
         bool valid = false;

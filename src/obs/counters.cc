@@ -142,26 +142,27 @@ emitCycle(const CycleEvents &ev, bool stalled)
         r->bump(Ev::MachineChecks);
 }
 
+template <class Self, class Ar>
+void
+CounterRegistry::walk(Self &s, Ar &ar)
+{
+    ar.sameCount32(NumEvents, "counter registry event count");
+    for (auto &v : s.counters_)
+        ar.u64(v);
+    // bump() adds the gate, so anything but 0 or 1 would miscount.
+    ar.below(s.enabled_, 2, "counter gate");
+}
+
 void
 CounterRegistry::serialize(ByteWriter &w) const
 {
-    w.u32(static_cast<uint32_t>(NumEvents));
-    for (uint64_t v : counters_)
-        w.u64(v);
-    w.u64(enabled_);
+    walk(*this, w);
 }
 
 void
 CounterRegistry::deserialize(ByteReader &r)
 {
-    const uint32_t n = r.u32();
-    if (n != NumEvents)
-        sim_throw(SnapshotError,
-                  "snapshot counter registry has %u events, this build "
-                  "has %zu", n, NumEvents);
-    for (uint64_t &v : counters_)
-        v = r.u64();
-    enabled_ = r.u64();
+    walk(*this, r);
 }
 
 bool

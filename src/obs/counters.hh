@@ -154,6 +154,10 @@ class CounterRegistry
     void deserialize(ByteReader &r);
 
   private:
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
+
     std::array<uint64_t, NumEvents> counters_{};
     uint64_t enabled_ = 0;
 };

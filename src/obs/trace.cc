@@ -170,49 +170,29 @@ toChromeJson(const std::vector<TraceEvent> &events)
     return out;
 }
 
+template <class Self, class Ar>
+void
+EventTracer::walk(Self &s, Ar &ar)
+{
+    ar.sameCount64(s.ring_.size(), "trace ring depth");
+    for (auto &e : s.ring_)
+        TraceEvent::walk(e, ar);
+    ar.u32(s.mask_);
+    ar.below(s.next_, s.ring_.size(), "trace ring cursor");
+    ar.u64(s.emitted_);
+    ar.u64(s.filtered_);
+}
+
 void
 EventTracer::serialize(ByteWriter &w) const
 {
-    w.u64(ring_.size());
-    for (const TraceEvent &e : ring_) {
-        w.u64(e.ts);
-        w.u64(e.arg0);
-        w.u32(e.arg1);
-        w.u32(e.cat);
-        w.u16(e.code);
-        w.u16(e.stream);
-    }
-    w.u32(mask_);
-    w.u64(next_);
-    w.u64(emitted_);
-    w.u64(filtered_);
+    walk(*this, w);
 }
 
 void
 EventTracer::deserialize(ByteReader &r)
 {
-    const uint64_t n = r.u64();
-    if (n != ring_.size())
-        sim_throw(SnapshotError,
-                  "snapshot trace ring depth %llu does not match the "
-                  "tracer's %zu",
-                  static_cast<unsigned long long>(n), ring_.size());
-    for (TraceEvent &e : ring_) {
-        e.ts = r.u64();
-        e.arg0 = r.u64();
-        e.arg1 = r.u32();
-        e.cat = r.u32();
-        e.code = r.u16();
-        e.stream = r.u16();
-        e.pad = 0;
-    }
-    mask_ = r.u32();
-    next_ = r.u64();
-    if (next_ >= ring_.size())
-        sim_throw(SnapshotError, "snapshot trace ring cursor %zu out of "
-                  "range", next_);
-    emitted_ = r.u64();
-    filtered_ = r.u64();
+    walk(*this, r);
 }
 
 } // namespace upc780::obs

@@ -75,6 +75,19 @@ struct TraceEvent
     uint16_t code = 0;    //!< Code
     uint16_t stream = 0;  //!< source stream id (set by mergeStreams)
     uint32_t pad = 0;
+
+    /** Checkpoint field list (common/serial.hh): tracer and results. */
+    template <class Self, class Ar>
+    static void
+    walk(Self &e, Ar &ar)
+    {
+        ar.u64(e.ts);
+        ar.u64(e.arg0);
+        ar.u32(e.arg1);
+        ar.u32(e.cat);
+        ar.u16(e.code);
+        ar.u16(e.stream);
+    }
 };
 
 /**
@@ -131,6 +144,10 @@ class EventTracer
     void deserialize(ByteReader &r);
 
   private:
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
+
     std::vector<TraceEvent> ring_;
     uint32_t mask_ = AllCats;
     size_t next_ = 0;

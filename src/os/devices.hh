@@ -56,11 +56,16 @@ class IntervalTimer : public cpu::Device
 
     uint64_t interrupts() const { return interrupts_.value(); }
 
-    /** Checkpoint phase + pending flag + counter (kernel.cc). */
-    void serialize(ByteWriter &w) const;
-    void deserialize(ByteReader &r);
-
   private:
+    friend class VmsLite;
+
+    /**
+     * The checkpoint field list, both directions (common/serial.hh):
+     * phase, pending flag and counter, inside the kernel's section.
+     */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
+
     uint64_t period_;
     uint64_t nextAt_;
     bool pending_ = false;
@@ -124,11 +129,18 @@ class RteTerminal : public cpu::Device
     uint64_t interrupts() const { return interrupts_.value(); }
     bool idle() const { return queue_.empty(); }
 
-    /** Checkpoint the event queue + service state (kernel.cc). */
-    void serialize(ByteWriter &w) const;
-    void deserialize(ByteReader &r);
-
   private:
+    friend class VmsLite;
+
+    /**
+     * The checkpoint field list, both directions (common/serial.hh):
+     * the event queue and service state, checkpointed inside the
+     * kernel's section (kernel.cc) because a restored event must name
+     * one of the kernel's @p processes.
+     */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar, size_t processes);
+
     struct Event
     {
         uint64_t at;

@@ -565,20 +565,13 @@ VmsLite::liveUserProcesses() const
 // Checkpointing
 // --------------------------------------------------------------------------
 
+template <class Self, class Ar>
 void
-IntervalTimer::serialize(ByteWriter &w) const
+IntervalTimer::walk(Self &s, Ar &ar)
 {
-    w.u64(nextAt_);
-    w.b(pending_);
-    w.u64(interrupts_.value());
-}
-
-void
-IntervalTimer::deserialize(ByteReader &r)
-{
-    nextAt_ = r.u64();
-    pending_ = r.b();
-    interrupts_.set(r.u64());
+    ar.u64(s.nextAt_);
+    ar.b(s.pending_);
+    ar.counter(s.interrupts_);
 }
 
 namespace
@@ -594,14 +587,10 @@ namespace
 template <class PQ>
 struct PqAccess : PQ
 {
-    static const typename PQ::container_type &
-    container(const PQ &q)
-    {
-        return q.*&PqAccess::c;
-    }
-
-    static typename PQ::container_type &
-    container(PQ &q)
+    /** @p q's heap array, const when @p q is. */
+    template <class Q>
+    static auto &
+    container(Q &q)
     {
         return q.*&PqAccess::c;
     }
@@ -609,32 +598,43 @@ struct PqAccess : PQ
 
 } // namespace
 
+template <class Self, class Ar>
 void
-RteTerminal::serialize(ByteWriter &w) const
+RteTerminal::walk(Self &s, Ar &ar, size_t processes)
 {
-    const auto &events = PqAccess<decltype(queue_)>::container(queue_);
-    w.u32(static_cast<uint32_t>(events.size()));
-    for (const Event &e : events) {
-        w.u64(e.at);
-        w.i32(e.pid);
-    }
-    w.u64(now_);
-    w.b(inService_);
-    w.u64(interrupts_.value());
+    auto &events = PqAccess<decltype(queue_)>::container(s.queue_);
+    ar.vec32(events, 1 << 20, [&](auto &e) {
+        ar.u64(e.at);
+        ar.below(e.pid, processes, "terminal event pid");
+    });
+    ar.u64(s.now_);
+    ar.b(s.inService_);
+    ar.counter(s.interrupts_);
 }
 
+template <class Self, class Ar>
 void
-RteTerminal::deserialize(ByteReader &r)
+VmsLite::walk(Self &s, Ar &ar)
 {
-    auto &events = PqAccess<decltype(queue_)>::container(queue_);
-    events.resize(r.size32(1 << 20));
-    for (Event &e : events) {
-        e.at = r.u64();
-        e.pid = r.i32();
+    ar.rng(s.rng_);
+    ar.sameCount32(s.procs_.size(), "kernel process count");
+    for (auto &p : s.procs_) {
+        ar.enum8(p.state, Process::State::Terminated,
+                 "kernel process state");
+        ar.b(p.isIdle);
+        ar.u32(p.pcbVa);
+        ar.u32(p.kstackTop);
+        ar.u32(p.quantumLeft);
+        ar.f64(p.thinkMean);
     }
-    now_ = r.u64();
-    inService_ = r.b();
-    interrupts_.set(r.u64());
+    ar.below(s.current_, s.procs_.size(), "kernel current pid");
+    ar.u32(s.rr_);
+    ar.u64(s.tickCount_);
+    OsStats::walk(s.stats_, ar);
+    ar.vec32(s.errorLog_, MaxErrorLogEntries,
+             [&](auto &e) { ErrorLogEntry::walk(e, ar); });
+    IntervalTimer::walk(*s.timer_, ar);
+    RteTerminal::walk(*s.terminal_, ar, s.procs_.size());
 }
 
 void
@@ -642,41 +642,7 @@ VmsLite::serialize(ByteWriter &w) const
 {
     if (!booted_)
         sim_throw(SnapshotError, "cannot checkpoint an unbooted kernel");
-    for (uint64_t s : rng_.state())
-        w.u64(s);
-
-    w.u32(static_cast<uint32_t>(procs_.size()));
-    for (const Process &p : procs_) {
-        w.u8(static_cast<uint8_t>(p.state));
-        w.b(p.isIdle);
-        w.u32(p.pcbVa);
-        w.u32(p.kstackTop);
-        w.u32(p.quantumLeft);
-        w.f64(p.thinkMean);
-    }
-    w.i32(current_);
-    w.u32(rr_);
-    w.u64(tickCount_);
-
-    w.u64(stats_.contextSwitches);
-    w.u64(stats_.reschedRequests);
-    w.u64(stats_.forkRequests);
-    w.u64(stats_.syscalls);
-    w.u64(stats_.termWrites);
-    w.u64(stats_.machineChecks);
-    w.u64(stats_.faultsCorrected);
-    w.u64(stats_.processesTerminated);
-
-    w.u32(static_cast<uint32_t>(errorLog_.size()));
-    for (const ErrorLogEntry &e : errorLog_) {
-        w.u64(e.cycle);
-        w.i32(e.pid);
-        w.u8(static_cast<uint8_t>(e.kind));
-        w.b(e.corrected);
-    }
-
-    timer_->serialize(w);
-    terminal_->serialize(w);
+    walk(*this, w);
 }
 
 void
@@ -684,58 +650,7 @@ VmsLite::deserialize(ByteReader &r)
 {
     if (!booted_)
         sim_throw(SnapshotError, "cannot restore into an unbooted kernel");
-    std::array<uint64_t, 4> s;
-    for (uint64_t &v : s)
-        v = r.u64();
-    rng_.setState(s);
-
-    const uint32_t np = r.u32();
-    if (np != procs_.size())
-        sim_throw(SnapshotError,
-                  "snapshot kernel has %u processes but this machine "
-                  "booted %zu", np, procs_.size());
-    for (Process &p : procs_) {
-        uint8_t st = r.u8();
-        if (st > static_cast<uint8_t>(Process::State::Terminated))
-            sim_throw(SnapshotError,
-                      "snapshot kernel: bad process state %u", st);
-        p.state = static_cast<Process::State>(st);
-        p.isIdle = r.b();
-        p.pcbVa = r.u32();
-        p.kstackTop = r.u32();
-        p.quantumLeft = r.u32();
-        p.thinkMean = r.f64();
-    }
-    current_ = r.i32();
-    if (current_ < 0 || static_cast<size_t>(current_) >= procs_.size())
-        sim_throw(SnapshotError, "snapshot kernel: current pid %d out of "
-                  "range", current_);
-    rr_ = r.u32();
-    tickCount_ = r.u64();
-
-    stats_.contextSwitches = r.u64();
-    stats_.reschedRequests = r.u64();
-    stats_.forkRequests = r.u64();
-    stats_.syscalls = r.u64();
-    stats_.termWrites = r.u64();
-    stats_.machineChecks = r.u64();
-    stats_.faultsCorrected = r.u64();
-    stats_.processesTerminated = r.u64();
-
-    errorLog_.resize(r.size32(MaxErrorLogEntries));
-    for (ErrorLogEntry &e : errorLog_) {
-        e.cycle = r.u64();
-        e.pid = r.i32();
-        uint8_t k = r.u8();
-        if (k >= static_cast<uint8_t>(fault::FaultKind::NumKinds))
-            sim_throw(SnapshotError,
-                      "snapshot kernel: bad error-log fault kind %u", k);
-        e.kind = static_cast<fault::FaultKind>(k);
-        e.corrected = r.b();
-    }
-
-    timer_->deserialize(r);
-    terminal_->deserialize(r);
+    walk(*this, r);
 }
 
 } // namespace upc780::os

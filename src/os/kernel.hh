@@ -87,6 +87,21 @@ struct OsStats
         faultsCorrected += o.faultsCorrected;
         processesTerminated += o.processesTerminated;
     }
+
+    /** Checkpoint field list (common/serial.hh): kernel and results. */
+    template <class Self, class Ar>
+    static void
+    walk(Self &s, Ar &ar)
+    {
+        ar.u64(s.contextSwitches);
+        ar.u64(s.reschedRequests);
+        ar.u64(s.forkRequests);
+        ar.u64(s.syscalls);
+        ar.u64(s.termWrites);
+        ar.u64(s.machineChecks);
+        ar.u64(s.faultsCorrected);
+        ar.u64(s.processesTerminated);
+    }
 };
 
 /** One VMS-style error-log entry written by the machine-check handler. */
@@ -96,6 +111,19 @@ struct ErrorLogEntry
     int pid = 0;                   //!< process scheduled at the time
     fault::FaultKind kind = fault::FaultKind::MemEccSingle;
     bool corrected = true;
+
+    /** Checkpoint field list (common/serial.hh): kernel and results. */
+    template <class Self, class Ar>
+    static void
+    walk(Self &e, Ar &ar)
+    {
+        ar.u64(e.cycle);
+        ar.i32(e.pid);
+        ar.enum8(e.kind,
+                 static_cast<fault::FaultKind>(fault::NumFaultKinds - 1),
+                 "error-log fault kind");
+        ar.b(e.corrected);
+    }
 };
 
 /** The VMS-lite kernel. */
@@ -148,6 +176,10 @@ class VmsLite
     void deserialize(ByteReader &r);
 
   private:
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
+
     struct Process
     {
         enum class State : uint8_t { Runnable, Blocked, Terminated };

@@ -12,16 +12,8 @@ namespace upc780::sim
 void
 HwCounters::accumulate(const HwCounters &o)
 {
-    dReads += o.dReads;
-    dReadMisses += o.dReadMisses;
-    iReads += o.iReads;
-    iReadMisses += o.iReadMisses;
-    writes += o.writes;
-    writeStallCycles += o.writeStallCycles;
-    unalignedRefs += o.unalignedRefs;
-    tbDMisses += o.tbDMisses;
-    tbIMisses += o.tbIMisses;
-    ibFills += o.ibFills;
+    for (const HwField &f : HwFields)
+        this->*f.member += o.*f.member;
 }
 
 void
@@ -55,118 +47,43 @@ CompositeResult::allOk() const
     return true;
 }
 
+template <class Self, class Ar>
+void
+WorkloadResult::walk(Self &s, Ar &ar)
+{
+    ar.str(s.name, 1 << 10);
+    ar.nested(s.histogram);
+    ar.u64(s.cycles);
+    for (const HwField &f : HwFields)
+        ar.u64(s.hw.*f.member);
+    os::OsStats::walk(s.osStats, ar);
+    ar.u64(s.timerInterrupts);
+    ar.u64(s.terminalInterrupts);
+    for (auto &v : s.faultStats.injected)
+        ar.u64(v);
+    for (auto &v : s.obs.counters)
+        ar.u64(v);
+    for (auto &ns : s.host.ns)
+        ar.u64(ns);
+    ar.vec64(s.trace, 1 << 24, [&](auto &e) { obs::TraceEvent::walk(e, ar); });
+    ar.vec64(s.errorLog, 1 << 20,
+             [&](auto &e) { os::ErrorLogEntry::walk(e, ar); });
+    ar.b(s.ok);
+    ar.str(s.error, 1 << 16);
+    ar.u32(s.attempts);
+    ar.u64(s.resumedFromCycle);
+}
+
 void
 WorkloadResult::serialize(ByteWriter &w) const
 {
-    w.str(name);
-    histogram.serialize(w);
-    w.u64(cycles);
-    w.u64(hw.dReads);
-    w.u64(hw.dReadMisses);
-    w.u64(hw.iReads);
-    w.u64(hw.iReadMisses);
-    w.u64(hw.writes);
-    w.u64(hw.writeStallCycles);
-    w.u64(hw.unalignedRefs);
-    w.u64(hw.tbDMisses);
-    w.u64(hw.tbIMisses);
-    w.u64(hw.ibFills);
-    w.u64(osStats.contextSwitches);
-    w.u64(osStats.reschedRequests);
-    w.u64(osStats.forkRequests);
-    w.u64(osStats.syscalls);
-    w.u64(osStats.termWrites);
-    w.u64(osStats.machineChecks);
-    w.u64(osStats.faultsCorrected);
-    w.u64(osStats.processesTerminated);
-    w.u64(timerInterrupts);
-    w.u64(terminalInterrupts);
-    for (uint64_t v : faultStats.injected)
-        w.u64(v);
-    for (uint64_t v : obs.counters)
-        w.u64(v);
-    for (uint64_t ns : host.ns)
-        w.u64(ns);
-    w.u64(trace.size());
-    for (const obs::TraceEvent &e : trace) {
-        w.u64(e.ts);
-        w.u64(e.arg0);
-        w.u32(e.arg1);
-        w.u32(e.cat);
-        w.u16(e.code);
-        w.u16(e.stream);
-    }
-    w.u64(errorLog.size());
-    for (const os::ErrorLogEntry &e : errorLog) {
-        w.u64(e.cycle);
-        w.i32(e.pid);
-        w.u8(static_cast<uint8_t>(e.kind));
-        w.b(e.corrected);
-    }
-    w.b(ok);
-    w.str(error);
-    w.u32(attempts);
-    w.u64(resumedFromCycle);
+    walk(*this, w);
 }
 
 void
 WorkloadResult::deserialize(ByteReader &r)
 {
-    name = r.str(1 << 10);
-    histogram.deserialize(r);
-    cycles = r.u64();
-    hw.dReads = r.u64();
-    hw.dReadMisses = r.u64();
-    hw.iReads = r.u64();
-    hw.iReadMisses = r.u64();
-    hw.writes = r.u64();
-    hw.writeStallCycles = r.u64();
-    hw.unalignedRefs = r.u64();
-    hw.tbDMisses = r.u64();
-    hw.tbIMisses = r.u64();
-    hw.ibFills = r.u64();
-    osStats.contextSwitches = r.u64();
-    osStats.reschedRequests = r.u64();
-    osStats.forkRequests = r.u64();
-    osStats.syscalls = r.u64();
-    osStats.termWrites = r.u64();
-    osStats.machineChecks = r.u64();
-    osStats.faultsCorrected = r.u64();
-    osStats.processesTerminated = r.u64();
-    timerInterrupts = r.u64();
-    terminalInterrupts = r.u64();
-    for (uint64_t &v : faultStats.injected)
-        v = r.u64();
-    for (uint64_t &v : obs.counters)
-        v = r.u64();
-    for (uint64_t &ns : host.ns)
-        ns = r.u64();
-    trace.resize(r.size(1 << 24));
-    for (obs::TraceEvent &e : trace) {
-        e.ts = r.u64();
-        e.arg0 = r.u64();
-        e.arg1 = r.u32();
-        e.cat = r.u32();
-        e.code = r.u16();
-        e.stream = r.u16();
-        e.pad = 0;
-    }
-    errorLog.resize(r.size(1 << 20));
-    for (os::ErrorLogEntry &e : errorLog) {
-        e.cycle = r.u64();
-        e.pid = r.i32();
-        const uint8_t kind = r.u8();
-        if (kind >= static_cast<uint8_t>(fault::FaultKind::NumKinds))
-            sim_throw(SnapshotError,
-                      "result error log has fault kind %u out of range",
-                      kind);
-        e.kind = static_cast<fault::FaultKind>(kind);
-        e.corrected = r.b();
-    }
-    ok = r.b();
-    error = r.str(1 << 16);
-    attempts = r.u32();
-    resumedFromCycle = r.u64();
+    walk(*this, r);
 }
 
 WorkloadResult

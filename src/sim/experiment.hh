@@ -12,6 +12,7 @@
 #ifndef UPC780_SIM_EXPERIMENT_HH
 #define UPC780_SIM_EXPERIMENT_HH
 
+#include <array>
 #include <atomic>
 #include <string>
 #include <vector>
@@ -45,6 +46,33 @@ struct HwCounters
 
     void accumulate(const HwCounters &o);
 };
+
+/** One HwCounters field: its member and its name on the daemon wire. */
+struct HwField
+{
+    uint64_t HwCounters::*member;
+    const char *name;
+};
+
+/**
+ * The one HwCounters field list, in checkpoint and wire order. Sums,
+ * deltas, the checkpoint and result layouts and the daemon's JSON all
+ * iterate it.
+ */
+inline constexpr std::array<HwField, 10> HwFields = {{
+    {&HwCounters::dReads, "d_reads"},
+    {&HwCounters::dReadMisses, "d_read_misses"},
+    {&HwCounters::iReads, "i_reads"},
+    {&HwCounters::iReadMisses, "i_read_misses"},
+    {&HwCounters::writes, "writes"},
+    {&HwCounters::writeStallCycles, "write_stall_cycles"},
+    {&HwCounters::unalignedRefs, "unaligned_refs"},
+    {&HwCounters::tbDMisses, "tb_d_misses"},
+    {&HwCounters::tbIMisses, "tb_i_misses"},
+    {&HwCounters::ibFills, "ib_fills"},
+}};
+static_assert(sizeof(HwCounters) == HwFields.size() * sizeof(uint64_t),
+              "every HwCounters field needs an HwFields entry");
 
 /** Result of one workload measurement. */
 struct WorkloadResult
@@ -85,6 +113,11 @@ struct WorkloadResult
     /** Persistable to a `.result` snapshot file (see sim/run.hh). */
     void serialize(ByteWriter &w) const;
     void deserialize(ByteReader &r);
+
+  private:
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
 };
 
 /** The five-workload composite. */

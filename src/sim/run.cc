@@ -44,32 +44,9 @@ HwCounters
 delta(const HwCounters &a, const HwCounters &b)
 {
     HwCounters d;
-    d.dReads = b.dReads - a.dReads;
-    d.dReadMisses = b.dReadMisses - a.dReadMisses;
-    d.iReads = b.iReads - a.iReads;
-    d.iReadMisses = b.iReadMisses - a.iReadMisses;
-    d.writes = b.writes - a.writes;
-    d.writeStallCycles = b.writeStallCycles - a.writeStallCycles;
-    d.unalignedRefs = b.unalignedRefs - a.unalignedRefs;
-    d.tbDMisses = b.tbDMisses - a.tbDMisses;
-    d.tbIMisses = b.tbIMisses - a.tbIMisses;
-    d.ibFills = b.ibFills - a.ibFills;
+    for (const HwField &f : HwFields)
+        d.*f.member = b.*f.member - a.*f.member;
     return d;
-}
-
-void
-hashHw(ByteWriter &w, const HwCounters &c)
-{
-    w.u64(c.dReads);
-    w.u64(c.dReadMisses);
-    w.u64(c.iReads);
-    w.u64(c.iReadMisses);
-    w.u64(c.writes);
-    w.u64(c.writeStallCycles);
-    w.u64(c.unalignedRefs);
-    w.u64(c.tbDMisses);
-    w.u64(c.tbIMisses);
-    w.u64(c.ibFills);
 }
 
 } // namespace
@@ -524,7 +501,7 @@ WorkloadRun::saveCheckpoint()
     }
     {
         ByteWriter w;
-        serializeRunner(w);
+        walkRunner(*this, w);
         sw.add("runner", std::move(w));
     }
 
@@ -534,45 +511,21 @@ WorkloadRun::saveCheckpoint()
     watchdog_->noteCheckpoint(now);
 }
 
+template <class Self, class Ar>
 void
-WorkloadRun::serializeRunner(ByteWriter &w) const
+WorkloadRun::walkRunner(Self &s, Ar &ar)
 {
-    w.u8(static_cast<uint8_t>(phase_));
-    w.b(measuring_);
-    w.b(inIdle_);
-    hashHw(w, before_);
-    w.u64(cyclesAtStart_);
-    w.u64(livenessCheckAt_);
+    ar.enum8(s.phase_, Phase::Measure, "runner phase");
+    ar.b(s.measuring_);
+    ar.b(s.inIdle_);
+    for (const HwField &f : HwFields)
+        ar.u64(s.before_.*f.member);
+    ar.u64(s.cyclesAtStart_);
+    ar.u64(s.livenessCheckAt_);
     // Host wall-clock, for completeness only: nondeterministic, never
     // part of an equality check.
-    for (uint64_t ns : host_.ns)
-        w.u64(ns);
-}
-
-void
-WorkloadRun::deserializeRunner(ByteReader &r)
-{
-    const uint8_t phase = r.u8();
-    if (phase > static_cast<uint8_t>(Phase::Measure))
-        sim_throw(SnapshotError, "snapshot runner phase %u out of range",
-                  phase);
-    phase_ = static_cast<Phase>(phase);
-    measuring_ = r.b();
-    inIdle_ = r.b();
-    before_.dReads = r.u64();
-    before_.dReadMisses = r.u64();
-    before_.iReads = r.u64();
-    before_.iReadMisses = r.u64();
-    before_.writes = r.u64();
-    before_.writeStallCycles = r.u64();
-    before_.unalignedRefs = r.u64();
-    before_.tbDMisses = r.u64();
-    before_.tbIMisses = r.u64();
-    before_.ibFills = r.u64();
-    cyclesAtStart_ = r.u64();
-    livenessCheckAt_ = r.u64();
-    for (uint64_t &ns : host_.ns)
-        ns = r.u64();
+    for (auto &ns : s.host_.ns)
+        ar.u64(ns);
 }
 
 void
@@ -632,7 +585,7 @@ WorkloadRun::restore(const std::string &path)
     load("watchdog", *watchdog_);
     {
         ByteReader r = snap.open("runner");
-        deserializeRunner(r);
+        walkRunner(*this, r);
         r.expectEnd("runner");
     }
 

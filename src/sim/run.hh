@@ -125,8 +125,9 @@ class WorkloadRun
     void saveCheckpoint();
     void beginMeasurement();
     void checkStuck(const char *where);
-    void serializeRunner(ByteWriter &w) const;
-    void deserializeRunner(ByteReader &r);
+    /** The "runner" section field list, both directions. */
+    template <class Self, class Ar>
+    static void walkRunner(Self &s, Ar &ar);
 
     const ExperimentConfig &cfg_;
     wkl::WorkloadProfile profile_;

@@ -81,38 +81,32 @@ Watchdog::diagnostic() const
     return os.str();
 }
 
+template <class Self, class Ar>
+void
+Watchdog::walk(Self &s, Ar &ar)
+{
+    ar.u64(s.cycles_);
+    ar.u64(s.decodes_);
+    ar.u64(s.cyclesAtLastDecode_);
+    ar.u64(s.stallStreak_);
+    ucode::walkUAddr(ar, s.lastCommittedUpc_, "watchdog committed upc");
+    for (auto &t : s.trace_) {
+        ucode::walkUAddr(ar, t.upc, "watchdog trace upc");
+        ar.b(t.stalled);
+    }
+    ar.below(s.traceHead_, TraceDepth, "watchdog trace head");
+}
+
 void
 Watchdog::serialize(ByteWriter &w) const
 {
-    w.u64(cycles_);
-    w.u64(decodes_);
-    w.u64(cyclesAtLastDecode_);
-    w.u64(stallStreak_);
-    w.u16(lastCommittedUpc_);
-    for (const Sample &s : trace_) {
-        w.u16(s.upc);
-        w.b(s.stalled);
-    }
-    w.u32(traceHead_);
+    walk(*this, w);
 }
 
 void
 Watchdog::deserialize(ByteReader &r)
 {
-    cycles_ = r.u64();
-    decodes_ = r.u64();
-    cyclesAtLastDecode_ = r.u64();
-    stallStreak_ = r.u64();
-    lastCommittedUpc_ = r.u16();
-    for (Sample &s : trace_) {
-        s.upc = r.u16();
-        s.stalled = r.b();
-    }
-    traceHead_ = r.u32();
-    if (traceHead_ >= TraceDepth)
-        sim_throw(SnapshotError,
-                  "snapshot watchdog trace head %u out of range",
-                  traceHead_);
+    walk(*this, r);
 }
 
 } // namespace upc780::sim

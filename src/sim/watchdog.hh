@@ -93,6 +93,10 @@ class Watchdog : public cpu::CycleProbe
     void deserialize(ByteReader &r);
 
   private:
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
+
     struct Sample
     {
         ucode::UAddr upc = 0;

@@ -105,16 +105,8 @@ json::Value
 hwToJson(const sim::HwCounters &hw)
 {
     json::Value v = json::object();
-    v.set("d_reads", hw.dReads);
-    v.set("d_read_misses", hw.dReadMisses);
-    v.set("i_reads", hw.iReads);
-    v.set("i_read_misses", hw.iReadMisses);
-    v.set("writes", hw.writes);
-    v.set("write_stall_cycles", hw.writeStallCycles);
-    v.set("unaligned_refs", hw.unalignedRefs);
-    v.set("tb_d_misses", hw.tbDMisses);
-    v.set("tb_i_misses", hw.tbIMisses);
-    v.set("ib_fills", hw.ibFills);
+    for (const sim::HwField &f : sim::HwFields)
+        v.set(f.name, hw.*f.member);
     return v;
 }
 

@@ -37,6 +37,17 @@ using UAddr = uint16_t;
 /** Control store capacity: matches the UPC board's 16 K buckets. */
 constexpr uint32_t ControlStoreSize = 16384;
 
+/**
+ * One micro-address field of a checkpoint field walk (common/serial.hh):
+ * a restore rejects any address outside the control store.
+ */
+template <class Ar, class A>
+void
+walkUAddr(Ar &ar, A &a, const char *what)
+{
+    ar.below(a, ControlStoreSize, what);
+}
+
 /** Datapath function of a micro-op. */
 enum class Dp : uint8_t
 {

@@ -46,22 +46,26 @@ UpcMonitor::readDataPort(bool stall_bank) const
     return stall_bank ? histogram_.stall(a) : histogram_.count(a);
 }
 
+template <class Self, class Ar>
+void
+UpcMonitor::walk(Self &s, Ar &ar)
+{
+    ar.nested(s.histogram_);
+    ar.b(s.running_);
+    ar.u64(s.observed_);
+    ar.u16(s.addrPort_);
+}
+
 void
 UpcMonitor::serialize(ByteWriter &w) const
 {
-    histogram_.serialize(w);
-    w.b(running_);
-    w.u64(observed_);
-    w.u16(addrPort_);
+    walk(*this, w);
 }
 
 void
 UpcMonitor::deserialize(ByteReader &r)
 {
-    histogram_.deserialize(r);
-    running_ = r.b();
-    observed_ = r.u64();
-    addrPort_ = r.u16();
+    walk(*this, r);
 }
 
 } // namespace upc780::upc

@@ -71,6 +71,10 @@ class UpcMonitor : public cpu::CycleProbe
     void deserialize(ByteReader &r);
 
   private:
+    /** The checkpoint field list, both directions (common/serial.hh). */
+    template <class Self, class Ar>
+    static void walk(Self &s, Ar &ar);
+
     Histogram histogram_;
     bool running_ = false;
     uint64_t observed_ = 0;

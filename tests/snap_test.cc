@@ -8,27 +8,44 @@
  * newest checkpoint, retry-budget exhaustion as a clean partial
  * result, resumable composites (serial and parallel), checkpoint
  * context in watchdog diagnostics, and replay-from-snapshot fault
- * sweeps.
+ * sweeps. The payload readers are held to their own contract as
+ * well: checkpoint section bytes pinned across serializer changes,
+ * every truncated section a typed failure, and restored indices
+ * bounded by the structures they index.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/error.hh"
 #include "common/serial.hh"
+#include "cpu/trace.hh"
+#include "cpu/vax780.hh"
+#include "fault/fault.hh"
+#include "mem/sbi.hh"
+#include "mem/writebuffer.hh"
+#include "obs/counters.hh"
+#include "obs/trace.hh"
+#include "os/kernel.hh"
 #include "sim/engine.hh"
 #include "sim/experiment.hh"
 #include "sim/replay.hh"
 #include "sim/run.hh"
+#include "sim/watchdog.hh"
 #include "snap/snapshot.hh"
 #include "ucode/controlstore.hh"
 #include "upc/analyzer.hh"
+#include "upc/monitor.hh"
 #include "upc/report.hh"
+#include "workload/codegen.hh"
 #include "workload/profile.hh"
 
 using namespace upc780;
@@ -98,6 +115,33 @@ countCheckpoints(const fs::path &dir)
         if (e.path().extension() == ".ckpt")
             ++n;
     return n;
+}
+
+/**
+ * A run whose checkpoints carry every optional section: an event
+ * tracer recording instruction events (so the `instr` probe exists
+ * too) and a fault injector. One checkpoint at cycle 30000.
+ */
+sim::ExperimentConfig
+allSectionsConfig(const fs::path &dir)
+{
+    sim::ExperimentConfig cfg = smallConfig();
+    cfg.obs.counters = true;
+    cfg.obs.traceDepth = 256;
+    cfg.obs.traceMask = static_cast<uint32_t>(obs::Cat::Instr);
+    cfg.fault.memEccSingleRate = 2e-3;
+    cfg.checkpoint.dir = dir.string();
+    cfg.checkpoint.atCycles = {30000};
+    return cfg;
+}
+
+std::vector<uint8_t>
+sectionBytes(const snap::SnapshotReader &s, const std::string &name)
+{
+    ByteReader r = s.open(name);
+    std::vector<uint8_t> v(r.remaining());
+    r.bytes(v.data(), v.size());
+    return v;
 }
 
 } // namespace
@@ -381,6 +425,329 @@ TEST(SnapMachine, CorruptCheckpointFileNeverMisRestores)
         flipped[pos] ^= static_cast<uint8_t>(1u << (pos % 8));
         expectRejected(flipped, "bit flip");
     }
+}
+
+TEST(SnapMachine, CheckpointSectionBytesPinned)
+{
+    // The checkpoint bytes are part of the determinism contract: a
+    // refactor of any serializer must leave every section payload
+    // byte-identical. Values recorded from the hand-written
+    // serializers; the runner's trailing host-time words and the
+    // result's host profile are wall-clock and left out.
+#if !UPC780_OBS_ENABLED
+    GTEST_SKIP() << "tracing is compiled out";
+#endif
+    // Keys are "w<index in paperWorkloads()>/<section>".
+    static const std::map<std::string, uint64_t> pinned = {
+        {"w0/counters", 0x65a64d8cd37592d6ull},
+        {"w0/injector", 0x1d7ff6199cadc13eull},
+        {"w0/instr", 0xe0db8af95365f9f2ull},
+        {"w0/kernel", 0x9dd9e2d71b2bdba3ull},
+        {"w0/machine", 0x6d3b928b69150db7ull},
+        {"w0/monitor", 0xb3d9a743edf93dedull},
+        {"w0/result", 0x405ae2e64ac3501eull},
+        {"w0/runner", 0x8ec83ef6cdeae6a7ull},
+        {"w0/tracer", 0xc37148d94401c31bull},
+        {"w0/watchdog", 0x8267374e8f28a240ull},
+        {"w1/counters", 0x0bffbf0c7fb0a266ull},
+        {"w1/injector", 0x8d487d67a8ff3b70ull},
+        {"w1/instr", 0xedf1de58b390c677ull},
+        {"w1/kernel", 0x2a273cec4b42fbaeull},
+        {"w1/machine", 0x6c466f9f45ccded0ull},
+        {"w1/monitor", 0x4c04c8c63362ea28ull},
+        {"w1/result", 0x516bdc31e6dc97cfull},
+        {"w1/runner", 0x4d912a27687353dcull},
+        {"w1/tracer", 0xec2674a6383d1d11ull},
+        {"w1/watchdog", 0x9b35edec1b741418ull},
+        {"w2/counters", 0x5dc6ed8148aba9e6ull},
+        {"w2/injector", 0x40d93c59a3e9a969ull},
+        {"w2/instr", 0x58e52b73e38e3391ull},
+        {"w2/kernel", 0x84633b6de4242c8aull},
+        {"w2/machine", 0x16c1461a599d649aull},
+        {"w2/monitor", 0x598a17d48557e4b4ull},
+        {"w2/result", 0xdf354fe4d765618eull},
+        {"w2/runner", 0x980b185a65a720adull},
+        {"w2/tracer", 0x7e744438a3f3caf0ull},
+        {"w2/watchdog", 0xd04051b551c29aeaull},
+        {"w3/counters", 0x0f884f8f3bb213caull},
+        {"w3/injector", 0xa80585ce76879494ull},
+        {"w3/instr", 0x3038cec018b22b87ull},
+        {"w3/kernel", 0xfc20be633d10b5ccull},
+        {"w3/machine", 0x41d3488a921bde72ull},
+        {"w3/monitor", 0xf73e9b1ee58b752bull},
+        {"w3/result", 0x67b478d7475bd16bull},
+        {"w3/runner", 0x04872c2214968711ull},
+        {"w3/tracer", 0xbc3be0bb2952657dull},
+        {"w3/watchdog", 0x0992bea8b54392f0ull},
+        {"w4/counters", 0x2e80d5061beebeccull},
+        {"w4/injector", 0x4b390614712fd79cull},
+        {"w4/instr", 0x6f1afda6593b069full},
+        {"w4/kernel", 0x372ce1f6a0567b1cull},
+        {"w4/machine", 0x53934a5c892dc157ull},
+        {"w4/monitor", 0x33583b7448bb53deull},
+        {"w4/result", 0x797d1bdde3798321ull},
+        {"w4/runner", 0xd72d692e67d717f8ull},
+        {"w4/tracer", 0xd242bf18f6b4a137ull},
+        {"w4/watchdog", 0x45a7862e6cad77feull},
+    };
+
+    const fs::path dir = scratchDir("snap_pinned");
+    std::map<std::string, uint64_t> got;
+    const auto profiles = wkl::paperWorkloads();
+    for (size_t i = 0; i < profiles.size(); ++i) {
+        const auto &profile = profiles[i];
+        const std::string tag = "w" + std::to_string(i) + "/";
+        const sim::ExperimentConfig cfg =
+            allSectionsConfig(dir / tag);
+        sim::WorkloadRun run(cfg, profile);
+        const sim::WorkloadResult res = run.run();
+        const std::string ckpt =
+            snap::latestCheckpoint(cfg.checkpoint.dir, run.taskId());
+        ASSERT_FALSE(ckpt.empty()) << profile.name;
+
+        const auto s = snap::SnapshotReader::fromFile(ckpt);
+        for (const std::string &name : s.names()) {
+            const std::vector<uint8_t> b = sectionBytes(s, name);
+            size_t n = b.size();
+            if (name == "runner") {
+                const size_t host = sizeof(obs::HostProfile{}.ns);
+                ASSERT_GE(n, host);
+                n -= host;
+            }
+            got[tag + name] = snap::fnv1a(b.data(), n);
+        }
+        got[tag + "result"] = snap::fnv1a(fingerprint(res));
+    }
+
+    EXPECT_EQ(got.size(), 5u * 10u);
+    for (const auto &[key, hash] : got) {
+        const auto it = pinned.find(key);
+        EXPECT_TRUE(it != pinned.end() && it->second == hash)
+            << key << " hashes to 0x" << std::hex << hash;
+    }
+    if (::testing::Test::HasFailure()) {
+        for (const auto &[key, hash] : got)
+            std::printf("        {\"%s\", 0x%016llxull},\n", key.c_str(),
+                        static_cast<unsigned long long>(hash));
+    }
+}
+
+TEST(SnapPayload, EveryTruncatedSectionIsRejected)
+{
+    // The container CRC rejects a damaged file before any payload is
+    // parsed, so the component readers themselves are exercised here:
+    // every strict prefix of every section of a real checkpoint must
+    // be a SnapshotError, never a crash (the snap label runs this
+    // under ASan and UBSan) and never a silent success.
+#if !UPC780_OBS_ENABLED
+    GTEST_SKIP() << "tracing is compiled out";
+#endif
+    const fs::path dir = scratchDir("snap_prefix");
+    const auto profile = wkl::timesharing1Profile();
+    const sim::ExperimentConfig cfg = allSectionsConfig(dir);
+    sim::WorkloadRun run(cfg, profile);
+    const sim::WorkloadResult result = run.run();
+    const std::string ckpt =
+        snap::latestCheckpoint(cfg.checkpoint.dir, run.taskId());
+    ASSERT_FALSE(ckpt.empty());
+    const auto snap = snap::SnapshotReader::fromFile(ckpt);
+
+    std::map<std::string, std::vector<uint8_t>> sections;
+    for (const std::string &name : snap.names())
+        sections[name] = sectionBytes(snap, name);
+    ASSERT_EQ(sections.size(), 9u);
+    {
+        ByteWriter w;
+        result.serialize(w);
+        sections["result"] = w.take();
+    }
+
+    // Stand-alone instruments shaped like the run's, one per section.
+    cpu::Vax780 machine(cfg.machine);
+    os::VmsLite kernel(machine, cfg.os);
+    for (os::ProcessImage &image : wkl::buildWorkload(profile))
+        kernel.addProcess(std::move(image));
+    kernel.boot();
+    upc::UpcMonitor monitor;
+    obs::CounterRegistry counters;
+    obs::EventTracer tracer(cfg.obs.traceDepth, cfg.obs.traceMask);
+    cpu::InstrTracer instr(machine, 1, /*disassemble=*/false);
+    fault::FaultInjector injector(cfg.fault);
+    sim::Watchdog watchdog(machine.microcode(),
+                           cfg.watchdogIntervalCycles);
+    sim::WorkloadResult loaded;
+    // The SBI and write buffer have no mutable accessors on the
+    // machine; stand-alone twins of the same shape stand in.
+    mem::Sbi sbi(cfg.machine.mem.sbi);
+    mem::WriteBuffer writeBuffer(sbi, cfg.machine.mem.writeBufferDepth);
+
+    using Restore = std::function<void(ByteReader &)>;
+    const std::map<std::string, Restore> direct = {
+        {"machine", [&](ByteReader &r) { machine.deserialize(r); }},
+        {"machine.cache",
+         [&](ByteReader &r) { machine.memsys().cache().deserialize(r); }},
+        {"machine.sbi", [&](ByteReader &r) { sbi.deserialize(r); }},
+        {"machine.writebuffer",
+         [&](ByteReader &r) { writeBuffer.deserialize(r); }},
+        {"machine.tb", [&](ByteReader &r) { machine.tb().deserialize(r); }},
+        {"machine.ibox",
+         [&](ByteReader &r) { machine.ibox().deserialize(r); }},
+        {"machine.ebox",
+         [&](ByteReader &r) { machine.ebox().deserialize(r); }},
+        {"kernel", [&](ByteReader &r) { kernel.deserialize(r); }},
+        {"monitor", [&](ByteReader &r) { monitor.deserialize(r); }},
+        {"counters", [&](ByteReader &r) { counters.deserialize(r); }},
+        {"tracer", [&](ByteReader &r) { tracer.deserialize(r); }},
+        {"instr", [&](ByteReader &r) { instr.deserialize(r); }},
+        {"injector", [&](ByteReader &r) { injector.deserialize(r); }},
+        {"watchdog", [&](ByteReader &r) { watchdog.deserialize(r); }},
+        {"result", [&](ByteReader &r) { loaded.deserialize(r); }},
+    };
+
+    // The machine section restores an 8 MB memory image, so it is
+    // swept by stride; its fixed-layout parts are swept prefix by
+    // prefix on their own, from a re-serialization of the restored
+    // machine.
+    {
+        ByteReader r(sections.at("machine"));
+        machine.deserialize(r);
+    }
+    auto part = [&](const char *name, const auto &component) {
+        ByteWriter w;
+        component.serialize(w);
+        sections[name] = w.take();
+    };
+    part("machine.cache", machine.memsys().cache());
+    part("machine.sbi", machine.memsys().sbi());
+    part("machine.writebuffer", machine.memsys().writeBuffer());
+    part("machine.tb", machine.tb());
+    part("machine.ibox", machine.ibox());
+    part("machine.ebox", machine.ebox());
+
+    // The runner section is private to WorkloadRun, so it goes through
+    // the full restore path with only that section cut short.
+    const std::string cut = (dir / "cut.ckpt").string();
+    sim::WorkloadRun victim(cfg, profile);
+    auto restoreRunner = [&](size_t n) {
+        snap::SnapshotWriter w(snap.meta());
+        for (const std::string &name : snap.names()) {
+            const std::vector<uint8_t> &b = sections.at(name);
+            ByteWriter payload;
+            payload.bytes(b.data(), name == "runner" ? n : b.size());
+            w.add(name, std::move(payload));
+        }
+        w.writeFile(cut);
+        victim.restore(cut);
+    };
+
+    auto restore = [&](const std::string &name,
+                       const std::vector<uint8_t> &bytes, size_t n) {
+        if (name == "runner")
+            return restoreRunner(n);
+        ByteReader r(bytes.data(), n);
+        direct.at(name)(r);
+        r.expectEnd(name.c_str());
+    };
+
+    for (const auto &[name, bytes] : sections) {
+        ASSERT_NO_THROW(restore(name, bytes, bytes.size())) << name;
+        const size_t stride =
+            name == "machine" ? bytes.size() / 256 + 1 : 1;
+        for (size_t n = 0; n < bytes.size(); n += stride)
+            EXPECT_THROW(restore(name, bytes, n), SnapshotError)
+                << name << " truncated to " << n << " of "
+                << bytes.size() << " bytes";
+    }
+}
+
+TEST(SnapPayload, EboxRejectsOutOfRangeIndices)
+{
+    // A restored micro-address indexes the 16K-word control store on
+    // the next cycle, and a restored specifier index or register
+    // number indexes opnd_[6] or gpr_[16]: the reader must refuse a
+    // value past the end of each.
+    cpu::Vax780 machine(cpu::MachineConfig{});
+    ByteWriter w;
+    machine.ebox().serialize(w);
+    const std::vector<uint8_t> good = w.take();
+    {
+        ByteReader r(good);
+        ASSERT_NO_THROW(machine.ebox().deserialize(r));
+    }
+
+    // Offsets in a fresh EBOX's payload (empty micro-stack and
+    // machine-check queue): gpr[16], psl, pc, prRegs[64], six map
+    // registers and mapEnabled precede upc_.
+    constexpr size_t Upc = 16 * 4 + 4 + 4 + 64 * 4 + 6 * 4 + 1;
+    constexpr size_t TrappedUpc = Upc + 36;
+    constexpr size_t CurSpecIdx = Upc + 99;
+    constexpr size_t SpecReg = Upc + 104;
+    const struct
+    {
+        size_t offset;
+        std::vector<uint8_t> bytes;
+    } patches[] = {
+        {Upc, {0xff, 0xff}},
+        {Upc, {0x00, 0x40}},       // 0x4000: one past the last word
+        {TrappedUpc, {0x00, 0x40}},
+        {CurSpecIdx, {6, 0, 0, 0}},
+        {SpecReg, {16}},
+    };
+    for (const auto &p : patches) {
+        std::vector<uint8_t> bad = good;
+        std::copy(p.bytes.begin(), p.bytes.end(), bad.begin() + p.offset);
+        ByteReader r(bad);
+        EXPECT_THROW(machine.ebox().deserialize(r), SnapshotError)
+            << "patch at offset " << p.offset;
+    }
+}
+
+TEST(SnapPayload, KernelRejectsOutOfRangeTerminalPid)
+{
+    // A queued terminal event's pid indexes the process table when it
+    // falls due, so it must name one of the booted processes.
+    const sim::ExperimentConfig cfg = smallConfig();
+    const auto profile = wkl::educationalProfile();
+    cpu::Vax780 machine(cfg.machine);
+    os::VmsLite kernel(machine, cfg.os);
+    for (os::ProcessImage &image : wkl::buildWorkload(profile))
+        kernel.addProcess(std::move(image));
+    kernel.boot();
+    kernel.terminal().scheduleInput(5000, 1);
+
+    ByteWriter w;
+    kernel.serialize(w);
+    std::vector<uint8_t> bytes = w.take();
+    {
+        ByteReader r(bytes);
+        ASSERT_NO_THROW(kernel.deserialize(r));
+    }
+
+    // The section ends with the queued event's pid, then the
+    // terminal's clock (u64), service flag (u8) and counter (u64).
+    const size_t pid = bytes.size() - 17 - 4;
+    ASSERT_EQ(bytes[pid], 1u);
+    bytes[pid] = 0x7f;
+    ByteReader r(bytes);
+    EXPECT_THROW(kernel.deserialize(r), SnapshotError);
+}
+
+TEST(SnapPayload, CounterGateIsZeroOrOne)
+{
+    // bump() adds the gate, so a restored gate of 2 would count every
+    // event twice.
+    obs::CounterRegistry reg;
+    reg.setEnabled(true);
+    ByteWriter w;
+    reg.serialize(w);
+    std::vector<uint8_t> bytes = w.take();
+    {
+        ByteReader r(bytes);
+        ASSERT_NO_THROW(reg.deserialize(r));
+    }
+    bytes[bytes.size() - 8] = 2;
+    ByteReader r(bytes);
+    EXPECT_THROW(reg.deserialize(r), SnapshotError);
 }
 
 TEST(SnapRetry, SimulatedCrashRecoversFromCheckpoint)
