@@ -139,26 +139,6 @@ main()
                     baseline.histogram.totalCycles()),
                 all_identical ? "yes" : "NO");
 
-    // Observability overhead: the same composite with the counter
-    // fabric enabled vs fully off at runtime. The counters must be a
-    // pure observer (identical histogram) and cheap (target < 2%;
-    // wall-clock on a shared host is noisy, so the figure is reported
-    // rather than gated).
-    sim::ExperimentConfig obs_on = cfg;
-    obs_on.obs.counters = true;
-    sim::ExperimentConfig obs_off = cfg;
-    obs_off.obs.counters = false;
-    sim::CompositeResult con, coff;
-    const double wall_off = runOnce(obs_off, 1, coff);
-    const double wall_on = runOnce(obs_on, 1, con);
-    const bool obs_same = con.histogram == coff.histogram;
-    all_identical = all_identical && obs_same;
-    std::printf("\nobs counters: off %.3f s, on %.3f s (%+.1f%% "
-                "overhead), histograms identical: %s\n",
-                wall_off, wall_on,
-                100.0 * (wall_on / wall_off - 1.0),
-                obs_same ? "yes" : "NO");
-
     // Attribution audit: the same composite with the post-run
     // static<->dynamic cross-check on vs off. The audit runs once per
     // workload over a fixed-size histogram, so on a clean image its
@@ -261,15 +241,12 @@ main()
                          rows[i].same ? "true" : "false");
         std::fprintf(f,
                      "\n  ],\n"
-                     "  \"obs_overhead\": {\"off_s\": %.6f, \"on_s\": "
-                     "%.6f, \"identical\": %s},\n"
                      "  \"audit_overhead\": {\"off_s\": %.6f, "
                      "\"on_s\": %.6f, \"identical\": %s},\n"
                      "  \"checkpoint\": {\"plain_s\": %.6f, "
                      "\"checkpointed_s\": %.6f, \"snapshots\": %zu, "
                      "\"restore_s\": %.6f, \"identical\": %s},\n"
                      "  \"all_identical\": %s\n}\n",
-                     wall_off, wall_on, obs_same ? "true" : "false",
                      wall_audit_off, wall_audit_on,
                      audit_same ? "true" : "false",
                      wall_plain, wall_ckpt, saved, wall_restore,

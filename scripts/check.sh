@@ -13,7 +13,7 @@
 # BENCH_parallel.json) from a dedicated Release build-bench tree —
 # comparing against the committed baseline and refusing debug-build
 # figures — then rebuild with AddressSanitizer for the
-# fault/lint/snap/dispatch tests, with UBSan for the
+# fault/lint/snap/dispatch/parallel tests, with UBSan for the
 # lint/snap/dispatch tests, and — when the toolchain supports it —
 # with ThreadSanitizer for the parallel-labeled tests.
 #
@@ -172,12 +172,6 @@ do
 done
 echo "benchmark figures emitted from a release build"
 
-echo "== obs-off build: golden tables identical without the layer =="
-cmake -S . -B "$BUILD-noobs" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DUPC780_OBS=OFF
-cmake --build "$BUILD-noobs" -j "$JOBS"
-ctest --no-tests=error --test-dir "$BUILD-noobs" -L golden --output-on-failure
-
 if command -v gcov >/dev/null 2>&1 && command -v python3 >/dev/null 2>&1
 then
     echo "== coverage build (src/obs, src/ubench >= 90% line coverage) =="
@@ -192,12 +186,12 @@ else
     echo "== gcov/python3 unavailable; skipping coverage report =="
 fi
 
-echo "== asan build (faults + lint + snap + ubench + dispatch + svc) =="
+echo "== asan build (faults, lint, snap, ubench, dispatch, svc, parallel) =="
 cmake -S . -B "$BUILD-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DUPC780_SANITIZE=address
 cmake --build "$BUILD-asan" -j "$JOBS"
 ctest --no-tests=error --test-dir "$BUILD-asan" \
-    -L "faults|lint|snap|ubench|dispatch|svc" --output-on-failure
+    -L "faults|lint|snap|ubench|dispatch|svc|parallel" --output-on-failure
 
 echo "== ubsan build (lint + snap + ubench + dispatch tests) =="
 cmake -S . -B "$BUILD-ubsan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \

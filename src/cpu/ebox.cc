@@ -79,14 +79,10 @@ Ebox::setCc(bool n, bool z, bool v, bool c)
 CycleOut
 Ebox::cycle(uint64_t now)
 {
-#if UPC780_OBS_ENABLED
     obsEv_ = obs::CycleEvents{};
     CycleOut out = cycleInner(now);
     obs::emitCycle(obsEv_, out.stalled);
     return out;
-#else
-    return cycleInner(now);
-#endif
 }
 
 CycleOut

@@ -23,7 +23,6 @@ IBox::redirect(VAddr pc)
     // The target address is resolved late in the redirecting cycle;
     // the first fetch of the new stream goes out a cycle later.
     justRedirected_ = true;
-    ++stats_.redirects;
     obs::count(obs::Ev::IbRedirects);
 }
 
@@ -86,7 +85,6 @@ IBox::startFill(uint64_t now)
         if (!tb_.lookup(fetchVa_, true, pa)) {
             tbMiss_ = true;
             tbMissVa_ = fetchVa_;
-            ++stats_.tbMisses;
             return;
         }
     }
@@ -98,7 +96,6 @@ IBox::startFill(uint64_t now)
     // hit (request, access, accept); misses take the SBI latency.
     fillReadyAt_ = ready > now + 2 ? ready : now + 2;
     fillPending_ = true;
-    ++stats_.fills;
     obs::count(obs::Ev::IbFills);
 }
 
@@ -118,9 +115,6 @@ IBox::walk(Self &s, Ar &ar)
     ar.b(s.tbMiss_);
     ar.u32(s.tbMissVa_);
     ar.b(s.justRedirected_);
-    ar.counter(s.stats_.fills);
-    ar.counter(s.stats_.redirects);
-    ar.counter(s.stats_.tbMisses);
 }
 
 void

@@ -15,7 +15,6 @@
 #include <cstdint>
 
 #include "arch/types.hh"
-#include "common/stats.hh"
 #include "mem/memsys.hh"
 #include "mmu/pagetable.hh"
 #include "mmu/tb.hh"
@@ -30,14 +29,6 @@ namespace upc780::cpu
 {
 
 using arch::VAddr;
-
-/** IB activity counters (hardware-level; not visible to the UPC). */
-struct IBoxStats
-{
-    upc780::Counter fills;      //!< longword references issued
-    upc780::Counter redirects;  //!< flushes from taken branches
-    upc780::Counter tbMisses;   //!< I-stream translation misses
-};
 
 /** The instruction buffer and its fill engine. */
 class IBox
@@ -80,9 +71,7 @@ class IBox
     /** Resume fetching after the miss routine filled the TB. */
     void clearTbMiss();
 
-    const IBoxStats &stats() const { return stats_; }
-
-    /** Checkpoint buffer contents + fill engine + counters. */
+    /** Checkpoint buffer contents + fill engine. */
     void serialize(ByteWriter &w) const;
     void deserialize(ByteReader &r);
 
@@ -107,8 +96,6 @@ class IBox
     bool tbMiss_ = false;
     VAddr tbMissVa_ = 0;
     bool justRedirected_ = false;
-
-    IBoxStats stats_;
 };
 
 } // namespace upc780::cpu

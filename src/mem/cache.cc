@@ -68,17 +68,9 @@ Cache::fill(uint32_t set, uint32_t tag)
 bool
 Cache::readAccess(PAddr pa, bool istream)
 {
-    if (istream)
-        ++stats_.iReads;
-    else
-        ++stats_.dReads;
     obs::count(istream ? obs::Ev::CacheIReads : obs::Ev::CacheDReads);
 
     if (!config_.enabled) {
-        if (istream)
-            ++stats_.iReadMisses;
-        else
-            ++stats_.dReadMisses;
         obs::count(istream ? obs::Ev::CacheIReadMisses
                            : obs::Ev::CacheDReadMisses);
         return false;
@@ -89,10 +81,6 @@ Cache::readAccess(PAddr pa, bool istream)
     if (lookup(set, tag) >= 0)
         return true;
 
-    if (istream)
-        ++stats_.iReadMisses;
-    else
-        ++stats_.dReadMisses;
     obs::count(istream ? obs::Ev::CacheIReadMisses
                        : obs::Ev::CacheDReadMisses);
     fill(set, tag);
@@ -102,7 +90,6 @@ Cache::readAccess(PAddr pa, bool istream)
 bool
 Cache::writeAccess(PAddr pa)
 {
-    ++stats_.writes;
     obs::count(obs::Ev::CacheWrites);
     if (!config_.enabled)
         return false;
@@ -110,7 +97,6 @@ Cache::writeAccess(PAddr pa)
     uint32_t tag = tagOf(pa);
     // No write-allocate: a write miss leaves the cache unchanged.
     if (lookup(set, tag) >= 0) {
-        ++stats_.writeHits;
         obs::count(obs::Ev::CacheWriteHits);
         return true;
     }
@@ -130,7 +116,6 @@ Cache::invalidateAll()
 {
     for (Line &l : lines_)
         l.valid = false;
-    ++stats_.invalidates;
 }
 
 template <class Self, class Ar>
@@ -142,13 +127,6 @@ Cache::walk(Self &s, Ar &ar)
         ar.b(l.valid);
         ar.u32(l.tag);
     }
-    ar.counter(s.stats_.dReads);
-    ar.counter(s.stats_.dReadMisses);
-    ar.counter(s.stats_.iReads);
-    ar.counter(s.stats_.iReadMisses);
-    ar.counter(s.stats_.writes);
-    ar.counter(s.stats_.writeHits);
-    ar.counter(s.stats_.invalidates);
     ar.rng(s.rng_);
 }
 

@@ -6,8 +6,9 @@
  * always current and the model needs only a tag store.
  *
  * The cache is a *hardware* component invisible to microcode; its
- * counters model the separate cache-study monitor of Clark [2], which
- * the paper cites for the numbers the UPC technique cannot see.
+ * obs events (cache.*) model the separate cache-study monitor of
+ * Clark [2], which the paper cites for the numbers the UPC technique
+ * cannot see.
  */
 
 #ifndef UPC780_MEM_CACHE_HH
@@ -18,7 +19,6 @@
 
 #include "arch/types.hh"
 #include "common/random.hh"
-#include "common/stats.hh"
 
 namespace upc780
 {
@@ -40,23 +40,6 @@ struct CacheConfig
     bool enabled = true;   //!< ablation: force every access to miss
 
     bool operator==(const CacheConfig &) const = default;
-};
-
-/** Hardware-monitor counters on the cache (cf. Clark's cache study). */
-struct CacheStats
-{
-    upc780::Counter dReads;        //!< D-stream read accesses
-    upc780::Counter dReadMisses;
-    upc780::Counter iReads;        //!< I-stream (IB) read accesses
-    upc780::Counter iReadMisses;
-    upc780::Counter writes;        //!< write probes (write-through)
-    upc780::Counter writeHits;     //!< writes that updated a block
-    upc780::Counter invalidates;   //!< full flushes
-
-    uint64_t readMisses() const
-    {
-        return dReadMisses.value() + iReadMisses.value();
-    }
 };
 
 /** Tag-store model of the 780 cache. */
@@ -91,12 +74,10 @@ class Cache
     void invalidateAll();
 
     const CacheConfig &config() const { return config_; }
-    const CacheStats &stats() const { return stats_; }
-    CacheStats &stats() { return stats_; }
 
     uint32_t numSets() const { return numSets_; }
 
-    /** Checkpoint tag store + counters + replacement RNG. */
+    /** Checkpoint tag store + replacement RNG. */
     void serialize(ByteWriter &w) const;
     void deserialize(ByteReader &r);
 
@@ -121,7 +102,6 @@ class Cache
     uint32_t numSets_;
     uint32_t blockShift_;
     std::vector<Line> lines_;  //!< [set * ways + way]
-    CacheStats stats_;
     upc780::Rng rng_;
 };
 

@@ -62,10 +62,8 @@ MemorySubsystem::read(PAddr pa, uint32_t size, uint64_t now)
                                      false, r.miss);
         }
     }
-    if (r.unaligned) {
-        ++unaligned_;
+    if (r.unaligned)
         obs::count(obs::Ev::MemUnalignedRefs);
-    }
     r.data = memory_.read(pa, size);
     return r;
 }
@@ -94,10 +92,8 @@ MemorySubsystem::write(PAddr pa, uint32_t size, uint64_t data,
         cache_.writeAccess(first + 4 * i);
     }
 
-    if (r.unaligned) {
-        ++unaligned_;
+    if (r.unaligned)
         obs::count(obs::Ev::MemUnalignedRefs);
-    }
     memory_.write(pa, size, data);
     return r;
 }
@@ -110,7 +106,6 @@ MemorySubsystem::walk(Self &s, Ar &ar)
     ar.nested(s.cache_);
     ar.nested(s.sbi_);
     ar.nested(s.writeBuffer_);
-    ar.counter(s.unaligned_);
 }
 
 void

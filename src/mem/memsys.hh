@@ -103,9 +103,6 @@ class MemorySubsystem
      */
     void setFaultInjector(fault::FaultInjector *inj);
 
-    /** Unaligned D-stream references observed (paper §3.3.1). */
-    uint64_t unalignedRefs() const { return unaligned_.value(); }
-
     /** Checkpoint the full hierarchy (memory, cache, SBI, buffer). */
     void serialize(ByteWriter &w) const;
     void deserialize(ByteReader &r);
@@ -129,7 +126,6 @@ class MemorySubsystem
     Cache cache_;
     Sbi sbi_;
     WriteBuffer writeBuffer_;
-    upc780::Counter unaligned_;
 };
 
 } // namespace upc780::mem

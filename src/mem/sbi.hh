@@ -11,8 +11,6 @@
 
 #include <cstdint>
 
-#include "common/stats.hh"
-
 namespace upc780::fault
 {
 class FaultInjector;
@@ -36,15 +34,6 @@ struct SbiConfig
     uint32_t writeLatency = 6;
 
     bool operator==(const SbiConfig &) const = default;
-};
-
-/** Counters for SBI activity. */
-struct SbiStats
-{
-    upc780::Counter readTransactions;
-    upc780::Counter writeTransactions;
-    upc780::Counter contentionCycles;  //!< cycles spent queued
-    upc780::Counter timeouts;          //!< injected no-response faults
 };
 
 /** Single-path bus occupancy tracker. */
@@ -79,9 +68,8 @@ class Sbi
     void setFaultInjector(fault::FaultInjector *inj) { fault_ = inj; }
 
     const SbiConfig &config() const { return config_; }
-    const SbiStats &stats() const { return stats_; }
 
-    /** Checkpoint occupancy + counters. */
+    /** Checkpoint occupancy. */
     void serialize(ByteWriter &w) const;
     void deserialize(ByteReader &r);
 
@@ -94,7 +82,6 @@ class Sbi
 
     SbiConfig config_;
     uint64_t busyUntil_ = 0;
-    SbiStats stats_;
     fault::FaultInjector *fault_ = nullptr;
 };
 

@@ -22,7 +22,6 @@ WriteBuffer::WriteBuffer(Sbi &sbi, uint32_t depth)
 uint64_t
 WriteBuffer::issue(uint64_t now)
 {
-    ++stats_.writes;
     obs::count(obs::Ev::WbWrites);
 
     // The buffer entry that frees earliest.
@@ -30,8 +29,6 @@ WriteBuffer::issue(uint64_t now)
     uint64_t stall = 0;
     if (*slot > now) {
         stall = *slot - now;
-        ++stats_.stalls;
-        stats_.stallCycles += stall;
         obs::count(obs::Ev::WbStallCycles, stall);
     }
     uint64_t accepted = now + stall;
@@ -52,9 +49,6 @@ WriteBuffer::walk(Self &s, Ar &ar)
     ar.sameCount32(s.inflight_.size(), "write buffer depth");
     for (auto &t : s.inflight_)
         ar.u64(t);
-    ar.counter(s.stats_.writes);
-    ar.counter(s.stats_.stalls);
-    ar.counter(s.stats_.stallCycles);
 }
 
 void

@@ -13,8 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
-
 namespace upc780
 {
 class ByteWriter;
@@ -25,14 +23,6 @@ namespace upc780::mem
 {
 
 class Sbi;
-
-/** Write buffer counters. */
-struct WriteBufferStats
-{
-    upc780::Counter writes;
-    upc780::Counter stalls;        //!< writes that had to wait
-    upc780::Counter stallCycles;   //!< total cycles waited
-};
 
 /** Depth-configurable write buffer (depth 1 models the 780). */
 class WriteBuffer
@@ -51,9 +41,7 @@ class WriteBuffer
     /** Cycle at which all buffered writes have drained. */
     uint64_t drainedAt() const;
 
-    const WriteBufferStats &stats() const { return stats_; }
-
-    /** Checkpoint in-flight drain times + counters. */
+    /** Checkpoint in-flight drain times. */
     void serialize(ByteWriter &w) const;
     void deserialize(ByteReader &r);
 
@@ -66,7 +54,6 @@ class WriteBuffer
     uint32_t depth_;
     /** Completion cycles of in-flight writes (ring, size = depth). */
     std::vector<uint64_t> inflight_;
-    WriteBufferStats stats_;
 };
 
 } // namespace upc780::mem

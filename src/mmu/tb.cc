@@ -34,11 +34,6 @@ TranslationBuffer::locate(VAddr va, uint32_t &half, uint32_t &set,
 bool
 TranslationBuffer::lookup(VAddr va, bool istream, PAddr &pa)
 {
-    if (istream)
-        ++stats_.iLookups;
-    else
-        ++stats_.dLookups;
-
     uint32_t half, set, tag;
     locate(va, half, set, tag);
     Entry &e = entries_[half * config_.entriesPerHalf + set];
@@ -48,7 +43,6 @@ TranslationBuffer::lookup(VAddr va, bool istream, PAddr &pa)
             // the miss path, so the microcode refill provides the
             // realistic recovery timing.
             e.valid = false;
-            ++stats_.parityInvalidates;
         } else {
             pa = (e.pfn << PageShift) | (va & (PageBytes - 1));
             obs::count(istream ? obs::Ev::TbIHits : obs::Ev::TbDHits);
@@ -56,10 +50,6 @@ TranslationBuffer::lookup(VAddr va, bool istream, PAddr &pa)
         }
     }
 
-    if (istream)
-        ++stats_.iMisses;
-    else
-        ++stats_.dMisses;
     obs::count(istream ? obs::Ev::TbIMisses : obs::Ev::TbDMisses);
     return false;
 }
@@ -84,7 +74,6 @@ TranslationBuffer::fill(VAddr va, uint32_t pfn)
     e.valid = true;
     e.tag = tag;
     e.pfn = pfn;
-    ++stats_.fills;
     obs::count(obs::Ev::TbFills);
 }
 
@@ -93,7 +82,6 @@ TranslationBuffer::flushProcess()
 {
     for (uint32_t s = 0; s < config_.entriesPerHalf; ++s)
         entries_[s].valid = false;
-    ++stats_.processFlushes;
     obs::count(obs::Ev::TbFlushes);
 }
 
@@ -102,7 +90,6 @@ TranslationBuffer::flushAll()
 {
     for (Entry &e : entries_)
         e.valid = false;
-    ++stats_.allFlushes;
     obs::count(obs::Ev::TbFlushes);
 }
 
@@ -126,14 +113,6 @@ TranslationBuffer::walk(Self &s, Ar &ar)
         ar.u32(e.tag);
         ar.u32(e.pfn);
     }
-    ar.counter(s.stats_.dLookups);
-    ar.counter(s.stats_.dMisses);
-    ar.counter(s.stats_.iLookups);
-    ar.counter(s.stats_.iMisses);
-    ar.counter(s.stats_.fills);
-    ar.counter(s.stats_.processFlushes);
-    ar.counter(s.stats_.allFlushes);
-    ar.counter(s.stats_.parityInvalidates);
 }
 
 void

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "arch/types.hh"
-#include "common/stats.hh"
 #include "mmu/pagetable.hh"
 
 namespace upc780::fault
@@ -42,19 +41,6 @@ struct TbConfig
     bool enabled = true;  //!< ablation: force every lookup to miss
 
     bool operator==(const TbConfig &) const = default;
-};
-
-/** TB hardware counters plus miss-routine bookkeeping. */
-struct TbStats
-{
-    upc780::Counter dLookups;
-    upc780::Counter dMisses;
-    upc780::Counter iLookups;
-    upc780::Counter iMisses;
-    upc780::Counter fills;
-    upc780::Counter processFlushes;
-    upc780::Counter allFlushes;
-    upc780::Counter parityInvalidates;  //!< injected parity errors
 };
 
 /** The translation buffer proper. */
@@ -94,10 +80,9 @@ class TranslationBuffer
      */
     void setFaultInjector(fault::FaultInjector *inj) { fault_ = inj; }
 
-    const TbStats &stats() const { return stats_; }
     const TbConfig &config() const { return config_; }
 
-    /** Checkpoint entries + counters. */
+    /** Checkpoint entries. */
     void serialize(ByteWriter &w) const;
     void deserialize(ByteReader &r);
 
@@ -119,7 +104,6 @@ class TranslationBuffer
 
     TbConfig config_;
     std::vector<Entry> entries_;  //!< [half * entriesPerHalf + set]
-    TbStats stats_;
     fault::FaultInjector *fault_ = nullptr;
 };
 

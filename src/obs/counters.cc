@@ -1,8 +1,6 @@
 #include "obs/counters.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/serial.hh"
 
@@ -106,7 +104,7 @@ void
 emitCycle(const CycleEvents &ev, bool stalled)
 {
     CounterRegistry *r = counters();
-    if (!r || !r->enabled())
+    if (!r)
         return;
     if (stalled) {
         r->bump(Ev::EboxStallCycles);
@@ -147,9 +145,12 @@ void
 CounterRegistry::walk(Self &s, Ar &ar)
 {
     ar.sameCount32(NumEvents, "counter registry event count");
-    for (auto &v : s.counters_)
+    for (auto &v : s.totals_)
         ar.u64(v);
-    // bump() adds the gate, so anything but 0 or 1 would miscount.
+    for (auto &v : s.mark_)
+        ar.u64(v);
+    // The gate says how to read mark_ (window, or the total at which
+    // it would be empty), so anything but 0 or 1 would misread it.
     ar.below(s.enabled_, 2, "counter gate");
 }
 
@@ -163,19 +164,6 @@ void
 CounterRegistry::deserialize(ByteReader &r)
 {
     walk(*this, r);
-}
-
-bool
-Config::defaultCountersOn()
-{
-    static const bool on = [] {
-        const char *v = std::getenv("UPC780_OBS");
-        if (!v)
-            return true;
-        return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-                 std::strcmp(v, "OFF") == 0);
-    }();
-    return on;
 }
 
 } // namespace upc780::obs

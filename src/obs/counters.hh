@@ -10,8 +10,15 @@
  * CounterPoint-style refutation check that tests/obs_crosscheck_test.cc
  * performs. Styled after a per-component HPM counter fabric: every
  * counter is a named 64-bit event count, snapshot/accumulate are
- * order-independent sums, and the whole layer compiles away when
- * UPC780_OBS is off.
+ * order-independent sums.
+ *
+ * The registry is the only place the hardware events are counted: the
+ * cache, TB, IBOX, write buffer and memory subsystem keep no counters
+ * of their own. It has two views of each count. The running total is
+ * never gated; the hardware counters of a measurement
+ * (sim::HwCounters, Table 6) are before/after deltas of it. The window
+ * (snapshot()) covers only the cycles the gate was open, the same
+ * cycles the UPC monitor saw.
  *
  * Threading model: counters are delivered through a thread-local
  * "current scope" pointer (ObsScope). The parallel experiment engine
@@ -28,9 +35,9 @@
 #include <string>
 #include <string_view>
 
-#ifndef UPC780_OBS_ENABLED
+/** Always 1: the layer cannot be compiled out. Kept for consumers that
+ *  still test it. */
 #define UPC780_OBS_ENABLED 1
-#endif
 
 namespace upc780
 {
@@ -122,34 +129,58 @@ struct Snapshot
     bool operator==(const Snapshot &o) const = default;
 };
 
-/** The counter fabric for one measurement. */
+/**
+ * The counter fabric for one run: one running total per event, and the
+ * gated window taken from the gate's edges.
+ */
 class CounterRegistry
 {
   public:
-    void bump(Ev e) { counters_[size_t(e)] += enabled_; }
-    void add(Ev e, uint64_t n) { counters_[size_t(e)] += enabled_ ? n : 0; }
+    void bump(Ev e) { ++totals_[size_t(e)]; }
+    void add(Ev e, uint64_t n) { totals_[size_t(e)] += n; }
 
-    uint64_t value(Ev e) const { return counters_[size_t(e)]; }
+    /** Every event since construction, open gate or not. */
+    uint64_t total(Ev e) const { return totals_[size_t(e)]; }
+
+    /** The events counted while the gate was open. */
+    uint64_t
+    value(Ev e) const
+    {
+        const size_t i = size_t(e);
+        return enabled_ ? totals_[i] - mark_[i] : mark_[i];
+    }
 
     /**
-     * Gate counting, mirroring the UPC monitor's start/stop: the
-     * experiment runner flips this together with the monitor so both
-     * bookkeepings cover the identical cycle window.
+     * Open or close the window, mirroring the UPC monitor's start/stop:
+     * the experiment runner flips this together with the monitor so
+     * both bookkeepings cover the identical cycle window. Setting the
+     * gate to its current state is a no-op.
      */
-    void setEnabled(bool on) { enabled_ = on ? 1 : 0; }
+    void
+    setEnabled(bool on)
+    {
+        if (on == enabled())
+            return;
+        // While closed, mark_ holds the window so far; while open, the
+        // total at which the window would have been empty. Each edge
+        // maps one into the other with the same subtraction.
+        for (size_t i = 0; i < NumEvents; ++i)
+            mark_[i] = totals_[i] - mark_[i];
+        enabled_ = on ? 1 : 0;
+    }
     bool enabled() const { return enabled_ != 0; }
 
-    void clear() { counters_.fill(0); }
-
+    /** The window, every event. */
     Snapshot
     snapshot() const
     {
         Snapshot s;
-        s.counters = counters_;
+        for (size_t i = 0; i < NumEvents; ++i)
+            s.counters[i] = value(Ev(i));
         return s;
     }
 
-    /** Checkpoint counter values + gate (counters.cc). */
+    /** Checkpoint totals, window and gate (counters.cc). */
     void serialize(ByteWriter &w) const;
     void deserialize(ByteReader &r);
 
@@ -158,7 +189,8 @@ class CounterRegistry
     template <class Self, class Ar>
     static void walk(Self &s, Ar &ar);
 
-    std::array<uint64_t, NumEvents> counters_{};
+    std::array<uint64_t, NumEvents> totals_{};
+    std::array<uint64_t, NumEvents> mark_{};
     uint64_t enabled_ = 0;
 };
 
@@ -207,22 +239,14 @@ inline thread_local Tls tls;
 inline CounterRegistry *
 counters()
 {
-#if UPC780_OBS_ENABLED
     return detail::tls.reg;
-#else
-    return nullptr;
-#endif
 }
 
 /** The tracer events on this thread currently land in (may be null). */
 inline EventTracer *
 tracer()
 {
-#if UPC780_OBS_ENABLED
     return detail::tls.tracer;
-#else
-    return nullptr;
-#endif
 }
 
 /** Count one event into the current scope, if any. */
@@ -246,9 +270,7 @@ void emitCycle(const CycleEvents &ev, bool stalled);
 
 /**
  * Classify @p n pad cycles (executed nop microinstructions, no flags,
- * not stalled) at once: exactly n emitCycle({}, false) calls. Sound to
- * batch because the counter gate (setEnabled) only flips from within
- * executed microinstructions, never inside a pad run.
+ * not stalled) at once: exactly n emitCycle({}, false) calls.
  */
 inline void
 emitPadCycles(uint64_t n)
@@ -265,48 +287,33 @@ emitPadCycles(uint64_t n)
 class ObsScope
 {
   public:
-    ObsScope(CounterRegistry *reg, EventTracer *tr)
+    ObsScope(CounterRegistry *reg, EventTracer *tr) : prev_(detail::tls)
     {
-#if UPC780_OBS_ENABLED
-        prev_ = detail::tls;
         detail::tls.reg = reg;
         detail::tls.tracer = tr;
-#else
-        (void)reg;
-        (void)tr;
-#endif
     }
 
-    ~ObsScope()
-    {
-#if UPC780_OBS_ENABLED
-        detail::tls = prev_;
-#endif
-    }
+    ~ObsScope() { detail::tls = prev_; }
 
     ObsScope(const ObsScope &) = delete;
     ObsScope &operator=(const ObsScope &) = delete;
 
   private:
-#if UPC780_OBS_ENABLED
     detail::Tls prev_;
-#endif
 };
 
 /**
- * Runtime observability level for an experiment. `counters` defaults
- * from the UPC780_OBS environment variable ("off"/"0" disables), so a
- * deployed binary can drop to the near-zero-cost path without a
- * rebuild; `traceDepth` > 0 additionally attaches a ring-buffer event
- * tracer of that capacity, filtered by `traceMask` (see trace.hh).
+ * Runtime observability level for an experiment. The registry always
+ * counts; `counters` only decides whether a run reports its window
+ * (false: an all-zero WorkloadResult::obs). `traceDepth` > 0 attaches a
+ * ring-buffer event tracer of that capacity, filtered by `traceMask`
+ * (see trace.hh).
  */
 struct Config
 {
-    bool counters = defaultCountersOn();
+    bool counters = true;
     uint32_t traceDepth = 0;
     uint32_t traceMask = 0xffffffffu;
-
-    static bool defaultCountersOn();
 };
 
 } // namespace upc780::obs

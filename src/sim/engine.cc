@@ -170,7 +170,9 @@ ParallelEngine::runTasks(const std::vector<wkl::WorkloadProfile> &tasks)
         // sub-50ms deadlines are enforced promptly.
         const auto poll = std::chrono::microseconds(
             std::clamp<int64_t>(deadline_ns / 4000, 1000, 50000));
-        supervisor = std::thread([&] {
+        // deadline_ns and poll die with this block; the thread does
+        // not, so it takes its own copies.
+        supervisor = std::thread([&, deadline_ns, poll] {
             std::unique_lock<std::mutex> lock(sup_mutex);
             while (!sup_cv.wait_for(lock, poll, [&] { return done; })) {
                 for (auto &sp : states) {

@@ -2,11 +2,11 @@
  * @file
  * Experiment harness: builds a machine + VMS-lite + a workload's user
  * population, attaches the UPC monitor (and reads the cache-study
- * hardware counters), runs a measurement interval, and collects the
- * results. The composite runner reproduces the paper's methodology:
- * five one-interval experiments whose histograms are summed (§2.2),
- * with the Null process excluded from measurement by gating the
- * monitor across context switches.
+ * hardware counters from the obs registry), runs a measurement
+ * interval, and collects the results. The composite runner reproduces
+ * the paper's methodology: five one-interval experiments whose
+ * histograms are summed (§2.2), with the Null process excluded from
+ * measurement by gating the monitor across context switches.
  */
 
 #ifndef UPC780_SIM_EXPERIMENT_HH
@@ -30,7 +30,11 @@
 namespace upc780::sim
 {
 
-/** Hardware-counter deltas over the measurement interval. */
+/**
+ * Hardware-counter deltas over the measurement interval: a view of the
+ * obs registry's running totals (see HwFields), so the window includes
+ * the Null process even when the monitor is gated off in it.
+ */
 struct HwCounters
 {
     uint64_t dReads = 0;
@@ -47,29 +51,34 @@ struct HwCounters
     void accumulate(const HwCounters &o);
 };
 
-/** One HwCounters field: its member and its name on the daemon wire. */
+/**
+ * One HwCounters field: its member, its name on the daemon wire, and
+ * the registry event it is a delta of.
+ */
 struct HwField
 {
     uint64_t HwCounters::*member;
     const char *name;
+    obs::Ev ev;
 };
 
 /**
  * The one HwCounters field list, in checkpoint and wire order. Sums,
- * deltas, the checkpoint and result layouts and the daemon's JSON all
- * iterate it.
+ * deltas, the registry reads, the checkpoint and result layouts and
+ * the daemon's JSON all iterate it.
  */
 inline constexpr std::array<HwField, 10> HwFields = {{
-    {&HwCounters::dReads, "d_reads"},
-    {&HwCounters::dReadMisses, "d_read_misses"},
-    {&HwCounters::iReads, "i_reads"},
-    {&HwCounters::iReadMisses, "i_read_misses"},
-    {&HwCounters::writes, "writes"},
-    {&HwCounters::writeStallCycles, "write_stall_cycles"},
-    {&HwCounters::unalignedRefs, "unaligned_refs"},
-    {&HwCounters::tbDMisses, "tb_d_misses"},
-    {&HwCounters::tbIMisses, "tb_i_misses"},
-    {&HwCounters::ibFills, "ib_fills"},
+    {&HwCounters::dReads, "d_reads", obs::Ev::CacheDReads},
+    {&HwCounters::dReadMisses, "d_read_misses", obs::Ev::CacheDReadMisses},
+    {&HwCounters::iReads, "i_reads", obs::Ev::CacheIReads},
+    {&HwCounters::iReadMisses, "i_read_misses", obs::Ev::CacheIReadMisses},
+    {&HwCounters::writes, "writes", obs::Ev::CacheWrites},
+    {&HwCounters::writeStallCycles, "write_stall_cycles",
+     obs::Ev::WbStallCycles},
+    {&HwCounters::unalignedRefs, "unaligned_refs", obs::Ev::MemUnalignedRefs},
+    {&HwCounters::tbDMisses, "tb_d_misses", obs::Ev::TbDMisses},
+    {&HwCounters::tbIMisses, "tb_i_misses", obs::Ev::TbIMisses},
+    {&HwCounters::ibFills, "ib_fills", obs::Ev::IbFills},
 }};
 static_assert(sizeof(HwCounters) == HwFields.size() * sizeof(uint64_t),
               "every HwCounters field needs an HwFields entry");
@@ -166,9 +175,10 @@ struct ExperimentConfig
     uint64_t maxCycles = 0;  //!< 0: derived from instruction budget
 
     /**
-     * Observability level: counters default on (near-zero cost; set
-     * UPC780_OBS=off in the environment or clear `obs.counters` to
-     * disable), tracing defaults off. See obs/counters.hh.
+     * Observability level: the window of obs counters is reported by
+     * default (clear `obs.counters` for an all-zero WorkloadResult::obs;
+     * the hardware counters are unaffected), tracing defaults off. See
+     * obs/counters.hh.
      */
     obs::Config obs;
 

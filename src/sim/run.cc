@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <thread>
 
 #include "common/error.hh"
@@ -19,24 +20,13 @@ namespace upc780::sim
 namespace
 {
 
-/** Snapshot the hardware counters of a machine. */
+/** The hardware counters' running totals, gate ignored. */
 HwCounters
-snapshotHw(cpu::Vax780 &m)
+snapshotHw(const obs::CounterRegistry &reg)
 {
     HwCounters c;
-    const auto &cs = m.memsys().cache().stats();
-    c.dReads = cs.dReads.value();
-    c.dReadMisses = cs.dReadMisses.value();
-    c.iReads = cs.iReads.value();
-    c.iReadMisses = cs.iReadMisses.value();
-    c.writes = cs.writes.value();
-    c.writeStallCycles =
-        m.memsys().writeBuffer().stats().stallCycles.value();
-    c.unalignedRefs = m.memsys().unalignedRefs();
-    const auto &ts = m.tb().stats();
-    c.tbDMisses = ts.dMisses.value();
-    c.tbIMisses = ts.iMisses.value();
-    c.ibFills = m.ibox().stats().fills.value();
+    for (const HwField &f : HwFields)
+        c.*f.member = reg.total(f.ev);
     return c;
 }
 
@@ -270,8 +260,7 @@ WorkloadRun::WorkloadRun(const ExperimentConfig &cfg,
         tracer_ = std::make_unique<obs::EventTracer>(cfg_.obs.traceDepth,
                                                      cfg_.obs.traceMask);
     }
-    scope_.emplace(cfg_.obs.counters ? &registry_ : nullptr,
-                   tracer_.get());
+    obs::ObsScope scope(&registry_, tracer_.get());
     obs::ScopedTimer build_timer(host_, obs::Phase::Build);
 
     machine_ = std::make_unique<cpu::Vax780>(cfg_.machine);
@@ -624,13 +613,14 @@ WorkloadRun::beginMeasurement()
     }
     obs::event(obs::Cat::Sim, obs::Code::MeasureStart,
                machine_->cycles());
-    before_ = snapshotHw(*machine_);
+    before_ = snapshotHw(registry_);
     cyclesAtStart_ = machine_->cycles();
 }
 
 WorkloadResult
 WorkloadRun::run()
 {
+    obs::ObsScope scope(&registry_, tracer_.get());
     // Both loops advance the machine through Vax780::runBatch with
     // stop_at_instruction set: the loop conditions below can only
     // change at instruction-retire cycles, every cycle-scheduled
@@ -683,14 +673,15 @@ WorkloadRun::run()
     r.name = profile_.name;
     r.histogram = monitor_.histogram();
     r.cycles = monitor_.observedCycles();
-    r.hw = delta(before_, snapshotHw(*machine_));
+    r.hw = delta(before_, snapshotHw(registry_));
     r.osStats = vms_->stats();
     r.timerInterrupts = vms_->timer().interrupts();
     r.terminalInterrupts = vms_->terminal().interrupts();
     if (injector_)
         r.faultStats = injector_->stats();
     r.errorLog = vms_->errorLog();
-    r.obs = registry_.snapshot();
+    if (cfg_.obs.counters)
+        r.obs = registry_.snapshot();
     r.host = host_;
     if (tracer_)
         r.trace = tracer_->events();
@@ -738,8 +729,7 @@ WorkloadRun::run()
 
     if (cfg_.auditAttribution && lintReport_.clean()) {
         auditAttribution(machine_->microcode(), r.histogram, r.obs,
-                         bool(UPC780_OBS_ENABLED) && cfg_.obs.counters,
-                         profile_.name);
+                         cfg_.obs.counters, profile_.name);
     }
     return r;
 }
@@ -796,26 +786,52 @@ runWorkloadRecoverable(const ExperimentConfig &cfg,
     const snap::CheckpointPolicy &p = cfg.checkpoint;
     const std::string tid = snap::taskId(profile.name, profile.seed);
 
+    // A damaged file, or one another format version wrote, must not
+    // fail the task on every resume: the run is deterministic, so
+    // running without it gives the answer the file would have.
+    auto unreadable = [&](const std::string &path, const SnapshotError &e,
+                          const char *instead) {
+        warn("workload '%s': ignoring unreadable '%s', %s: %s",
+             profile.name.c_str(), path.c_str(), instead, e.what());
+        snap::appendManifest(
+            p.dir, tid + ": unreadable " +
+                       std::filesystem::path(path).filename().string() +
+                       "; " + instead);
+    };
+
     if (p.enabled() && p.resume) {
         const std::string done = snap::resultPath(p.dir, tid);
         std::error_code ec;
-        if (std::filesystem::exists(done, ec))
-            return loadResultFile(done, sim::configHash(cfg, profile));
+        if (std::filesystem::exists(done, ec)) {
+            try {
+                return loadResultFile(done, sim::configHash(cfg, profile));
+            } catch (const SnapshotError &e) {
+                unreadable(done, e, "running the workload");
+            }
+        }
     }
 
     uint32_t attempt = 0;
     for (;;) {
         try {
-            WorkloadRun run(cfg, profile, attempt);
+            std::optional<WorkloadRun> run(std::in_place, cfg, profile,
+                                           attempt);
             std::string ckpt;
             if (p.enabled() && (attempt > 0 || p.resume))
                 ckpt = snap::latestCheckpoint(p.dir, tid);
-            if (!ckpt.empty())
-                run.restore(ckpt);
-            WorkloadResult r = run.run();
+            if (!ckpt.empty()) {
+                try {
+                    run->restore(ckpt);
+                } catch (const SnapshotError &e) {
+                    // restore() may have overwritten part of the run.
+                    unreadable(ckpt, e, "running from the start");
+                    run.emplace(cfg, profile, attempt);
+                }
+            }
+            WorkloadResult r = run->run();
             if (p.enabled()) {
                 saveResultFile(snap::resultPath(p.dir, tid), r,
-                               run.configHash());
+                               run->configHash());
                 snap::appendManifest(
                     p.dir, tid + ": complete (attempts " +
                                std::to_string(r.attempts) + ")");

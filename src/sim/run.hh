@@ -33,7 +33,6 @@
 #define UPC780_SIM_RUN_HH
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,7 +58,7 @@ uint64_t configHash(const ExperimentConfig &cfg,
  * alone (ulint::EffectMap). Throws AuditError naming @p workload when
  * any histogram bucket or counter total lands outside its
  * statically-allowed set. Counter equalities are only checked when
- * @p countersEnabled (the obs fabric was live for the run); the
+ * @p countersEnabled (the run reported its obs window); the
  * histogram membership checks always run. Exposed as a free function
  * so tests can refute deliberately perturbed measurements without
  * driving a whole run.
@@ -77,8 +76,8 @@ class WorkloadRun
      * Build and boot the machine for @p profile (identically to the
      * historical runWorkload preamble). @p attempt is the 0-based
      * retry attempt, used by the simulated-crash knob and recorded in
-     * checkpoints. Must be used on a single thread (the observability
-     * scope is thread-local).
+     * checkpoints. The constructor and run() each install the run's
+     * observability scope on the calling thread for their duration.
      */
     WorkloadRun(const ExperimentConfig &cfg,
                 const wkl::WorkloadProfile &profile, uint32_t attempt = 0);
@@ -138,7 +137,6 @@ class WorkloadRun
     // Instruments and machine, in the historical construction order.
     obs::CounterRegistry registry_;
     std::unique_ptr<obs::EventTracer> tracer_;
-    std::optional<obs::ObsScope> scope_;
     obs::HostProfile host_;
     std::unique_ptr<cpu::Vax780> machine_;
     std::unique_ptr<os::VmsLite> vms_;
@@ -179,7 +177,10 @@ class WorkloadRun
  *  - resume mode: a completed `<taskId>.result` in the checkpoint
  *    directory is loaded and returned without running anything;
  *    otherwise the newest `<taskId>-c<cycle>.ckpt` (if any) seeds the
- *    first attempt.
+ *    first attempt. A file that fails to load (SnapshotError: damage,
+ *    another format version) is reported on stderr and in the
+ *    manifest and then ignored: an unreadable result is run again,
+ *    an unreadable checkpoint means starting from cycle 0.
  *  - a WatchdogError (wall-clock cancellation, livelock, or the
  *    simulated-crash knob) triggers a retry from the newest
  *    checkpoint, up to maxRetries, with exponential backoff; the

@@ -50,7 +50,7 @@ namespace upc780::snap
 {
 
 /** Current container format revision. */
-constexpr uint32_t FormatVersion = 1;
+constexpr uint32_t FormatVersion = 2;
 
 /** The 8-byte file magic. */
 constexpr char Magic[8] = {'U', 'P', 'C', '7', '8', '0', 'S', 'N'};

@@ -14,6 +14,7 @@
 #include <string>
 #include <type_traits>
 
+#include "counting.hh"
 #include "mem/memsys.hh"
 #include "mem/sbi.hh"
 #include "mem/writebuffer.hh"
@@ -57,14 +58,21 @@ static_assert(std::is_same_v<decltype(sim::HwCounters::writeStallCycles),
                              uint64_t>,
               "hardware stall counters must be 64-bit");
 
-// The obs fabric is a second, independent bookkeeping of the same
-// events — it must be at least as wide as the one it cross-checks.
+// The obs fabric is the only count of the hardware events and a
+// second, independent bookkeeping of the cycles the histogram sees —
+// both its views must be 64-bit.
 static_assert(
     std::is_same_v<
         decltype(std::declval<const obs::CounterRegistry>().value(
             obs::Ev::EboxUops)),
         uint64_t>,
-    "obs event counters must be 64-bit");
+    "obs event windows must be 64-bit");
+static_assert(
+    std::is_same_v<
+        decltype(std::declval<const obs::CounterRegistry>().total(
+            obs::Ev::EboxUops)),
+        uint64_t>,
+    "obs event totals must be 64-bit");
 static_assert(std::is_same_v<decltype(obs::Snapshot::counters),
                              std::array<uint64_t, obs::NumEvents>>,
               "obs snapshots must carry 64-bit counters");
@@ -129,6 +137,7 @@ TEST(CounterWidth, WriteBufferStallSurvivesPast32Bits)
     // A write that finds the buffer busy stalls for (drain - now)
     // cycles. Force that difference beyond 2^32: under the old
     // uint32_t return this truncated silently.
+    testutil::Counting n;
     mem::Sbi sbi{mem::SbiConfig{}};
     mem::WriteBuffer wb(sbi, 1);
 
@@ -137,22 +146,30 @@ TEST(CounterWidth, WriteBufferStallSurvivesPast32Bits)
 
     uint64_t stall = wb.issue(0);  // drain time is ~2^33 away
     EXPECT_GT(stall, uint64_t(UINT32_MAX));
-    EXPECT_EQ(wb.stats().stallCycles.value(), stall);
+    EXPECT_EQ(n[obs::Ev::WbStallCycles], stall);
 }
 
 TEST(CounterWidth, ObsRegistryCrosses32Bits)
 {
     // Bulk-add path (e.g. WbStallCycles adds whole stall runs at
-    // once): one add can carry the registry straight past 2^32.
-    // Exercised directly so the check holds even in UPC780_OBS=OFF
-    // builds, where the count() hooks compile away.
+    // once): one add can carry the registry straight past 2^32, in the
+    // ungated total and in the window alike.
     obs::CounterRegistry reg;
+    reg.add(obs::Ev::WbStallCycles, Big);  // gate closed: total only
     reg.setEnabled(true);
     reg.add(obs::Ev::WbStallCycles, Big);
     reg.bump(obs::Ev::WbStallCycles);
+    reg.setEnabled(false);
     EXPECT_EQ(reg.value(obs::Ev::WbStallCycles), Big + 1);
     EXPECT_GT(reg.value(obs::Ev::WbStallCycles),
               uint64_t(UINT32_MAX));
+    EXPECT_EQ(reg.total(obs::Ev::WbStallCycles), 2 * Big + 1);
+
+    // A window opened past 2^32 subtracts exactly.
+    reg.setEnabled(true);
+    reg.add(obs::Ev::WbStallCycles, 5);
+    EXPECT_EQ(reg.value(obs::Ev::WbStallCycles), Big + 6);
+    EXPECT_EQ(reg.total(obs::Ev::WbStallCycles), 2 * Big + 6);
 }
 
 TEST(CounterWidth, ObsSnapshotAccumulateCrosses32Bits)

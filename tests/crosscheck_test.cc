@@ -13,6 +13,7 @@
 #include <array>
 
 #include "arch/decoder.hh"
+#include "counting.hh"
 #include "cpu/trace.hh"
 #include "cpu/vax780.hh"
 #include "os/kernel.hh"
@@ -144,6 +145,7 @@ TEST(CrossCheck, TbMissBucketsMatchHardwareCounters)
 {
     // The histogram's miss-routine entries equal the TB hardware's
     // miss counters (same events, seen from both sides).
+    testutil::Counting n;
     cpu::Vax780 machine;
     os::VmsLite vms(machine);
     auto profile = wkl::educationalProfile();
@@ -157,12 +159,12 @@ TEST(CrossCheck, TbMissBucketsMatchHardwareCounters)
 
     // Snapshot hardware counters exactly at monitor start/stop.
     monitor.start();
-    uint64_t d0 = machine.tb().stats().dMisses.value();
-    uint64_t i0 = machine.tb().stats().iMisses.value();
+    uint64_t d0 = n[obs::Ev::TbDMisses];
+    uint64_t i0 = n[obs::Ev::TbIMisses];
     machine.run(300000);
     monitor.stop();
-    uint64_t d1 = machine.tb().stats().dMisses.value();
-    uint64_t i1 = machine.tb().stats().iMisses.value();
+    uint64_t d1 = n[obs::Ev::TbDMisses];
+    uint64_t i1 = n[obs::Ev::TbIMisses];
 
     const auto &marks = ucode::microcodeImage().marks;
     const auto &h = monitor.histogram();
@@ -182,6 +184,7 @@ TEST(CrossCheck, ReadsSeenByCacheMatchHistogram)
     // minus the extra physical references (unaligned/quad splits and
     // PTE fetches are ReadP, also cache probes). Verify the
     // inequality direction and closeness.
+    testutil::Counting n;
     cpu::Vax780 machine;
     os::VmsLite vms(machine);
     auto profile = wkl::commercialProfile();
@@ -193,10 +196,10 @@ TEST(CrossCheck, ReadsSeenByCacheMatchHistogram)
     machine.attachProbe(&monitor);
     vms.boot();
     monitor.start();
-    uint64_t c0 = machine.memsys().cache().stats().dReads.value();
+    uint64_t c0 = n[obs::Ev::CacheDReads];
     machine.run(300000);
     monitor.stop();
-    uint64_t c1 = machine.memsys().cache().stats().dReads.value();
+    uint64_t c1 = n[obs::Ev::CacheDReads];
 
     upc::HistogramAnalyzer an(monitor.histogram(),
                               ucode::microcodeImage());

@@ -379,9 +379,7 @@ TEST(Golden, ObservabilityDoesNotPerturbTables)
     // same fixed-seed composite with counters and a deep tracer
     // attached, and again with every runtime obs feature off, must
     // produce byte-identical attribution data — hence byte-identical
-    // Tables 1-9. (scripts/check.sh additionally rebuilds with
-    // -DUPC780_OBS=OFF and re-runs this suite against the same golden
-    // files, closing the compile-time half of the guarantee.)
+    // Tables 1-9.
     sim::ExperimentConfig on;
     on.instructionsPerWorkload = 4000;
     on.warmupInstructions = 800;

@@ -184,12 +184,6 @@ genuineRun()
     return r;
 }
 
-bool
-countersLive()
-{
-    return bool(UPC780_OBS_ENABLED) && sim::ExperimentConfig{}.obs.counters;
-}
-
 } // namespace
 
 TEST(AttributionAudit, GenuineMeasurementPasses)
@@ -200,7 +194,7 @@ TEST(AttributionAudit, GenuineMeasurementPasses)
     const auto &r = genuineRun();
     EXPECT_NO_THROW(sim::auditAttribution(ucode::microcodeImage(),
                                           r.histogram, r.obs,
-                                          countersLive(), r.name));
+                                          true, r.name));
 }
 
 TEST(AttributionAudit, CycleAtUnallocatedAddressRefuted)
@@ -230,8 +224,6 @@ TEST(AttributionAudit, CounterOffByOneRefuted)
 {
     const auto &r = genuineRun();
     const auto &img = ucode::microcodeImage();
-    if (!countersLive())
-        GTEST_SKIP() << "obs counters compiled out or disabled";
     obs::Snapshot s = r.obs;
     s.counters[size_t(obs::Ev::EboxUops)] += 1;
     EXPECT_THROW(sim::auditAttribution(img, r.histogram, s, true, "t"),
@@ -248,8 +240,6 @@ TEST(AttributionAudit, MisattributedCycleRefuted)
     // sums no longer match the counters the run actually latched.
     const auto &r = genuineRun();
     const auto &img = ucode::microcodeImage();
-    if (!countersLive())
-        GTEST_SKIP() << "obs counters compiled out or disabled";
     upc::Histogram h = r.histogram;
     h.bumpCount(img.marks.halted);  // a Halt-class cycle from nowhere
     EXPECT_THROW(sim::auditAttribution(img, h, r.obs, true, "t"),

@@ -13,10 +13,13 @@
 #include <vector>
 
 #include "common/serial.hh"
+#include "counting.hh"
 #include "mem/memsys.hh"
 
 using namespace upc780;
 using namespace upc780::mem;
+using obs::Ev;
+using testutil::Counting;
 
 // ---------------------------------------------------------------------------
 // PhysicalMemory
@@ -168,28 +171,31 @@ TEST(MemorySnapshot, DefaultImage)
 
 TEST(Cache, MissThenHit)
 {
+    Counting n;
     Cache c;
     EXPECT_FALSE(c.readAccess(0x1000, false));
     EXPECT_TRUE(c.readAccess(0x1000, false));
     EXPECT_TRUE(c.readAccess(0x1004, false));   // same 8-byte block
     EXPECT_FALSE(c.readAccess(0x1008, false));  // next block
-    EXPECT_EQ(c.stats().dReads.value(), 4u);
-    EXPECT_EQ(c.stats().dReadMisses.value(), 2u);
+    EXPECT_EQ(n[Ev::CacheDReads], 4u);
+    EXPECT_EQ(n[Ev::CacheDReadMisses], 2u);
 }
 
 TEST(Cache, IStreamCountedSeparately)
 {
+    Counting n;
     Cache c;
     c.readAccess(0x2000, true);
     c.readAccess(0x2000, false);
-    EXPECT_EQ(c.stats().iReads.value(), 1u);
-    EXPECT_EQ(c.stats().iReadMisses.value(), 1u);
-    EXPECT_EQ(c.stats().dReads.value(), 1u);
-    EXPECT_EQ(c.stats().dReadMisses.value(), 0u);  // filled by I ref
+    EXPECT_EQ(n[Ev::CacheIReads], 1u);
+    EXPECT_EQ(n[Ev::CacheIReadMisses], 1u);
+    EXPECT_EQ(n[Ev::CacheDReads], 1u);
+    EXPECT_EQ(n[Ev::CacheDReadMisses], 0u);  // filled by I ref
 }
 
 TEST(Cache, WriteThroughNoAllocate)
 {
+    Counting n;
     Cache c;
     // Write miss must not allocate.
     EXPECT_FALSE(c.writeAccess(0x3000));
@@ -197,7 +203,8 @@ TEST(Cache, WriteThroughNoAllocate)
     // After a read allocates, a write hits and updates.
     c.readAccess(0x3000, false);
     EXPECT_TRUE(c.writeAccess(0x3000));
-    EXPECT_EQ(c.stats().writeHits.value(), 1u);
+    EXPECT_EQ(n[Ev::CacheWrites], 2u);
+    EXPECT_EQ(n[Ev::CacheWriteHits], 1u);
 }
 
 TEST(Cache, TwoWayAssociativityHoldsTwoConflicting)
@@ -227,10 +234,11 @@ TEST(Cache, DisabledAlwaysMisses)
 {
     CacheConfig cfg;
     cfg.enabled = false;
+    Counting n;
     Cache c(cfg);
     EXPECT_FALSE(c.readAccess(0x1000, false));
     EXPECT_FALSE(c.readAccess(0x1000, false));
-    EXPECT_EQ(c.stats().dReadMisses.value(), 2u);
+    EXPECT_EQ(n[Ev::CacheDReadMisses], 2u);
 }
 
 TEST(Cache, ParameterizedGeometry)
@@ -263,11 +271,11 @@ TEST(Sbi, ReadLatencyAndContention)
     EXPECT_EQ(sbi.startRead(100), 106u);
     // A second transaction issued during the first queues behind it.
     EXPECT_EQ(sbi.startRead(104), 112u);
-    EXPECT_EQ(sbi.stats().contentionCycles.value(), 2u);
 }
 
 TEST(WriteBuffer, SingleEntryStallRule)
 {
+    Counting n;
     Sbi sbi;
     WriteBuffer wb(sbi, 1);
     // First write: accepted immediately.
@@ -276,8 +284,8 @@ TEST(WriteBuffer, SingleEntryStallRule)
     EXPECT_EQ(wb.issue(13), 3u);
     // Third write long after: no stall.
     EXPECT_EQ(wb.issue(100), 0u);
-    EXPECT_EQ(wb.stats().stalls.value(), 1u);
-    EXPECT_EQ(wb.stats().stallCycles.value(), 3u);
+    EXPECT_EQ(n[Ev::WbWrites], 3u);
+    EXPECT_EQ(n[Ev::WbStallCycles], 3u);
 }
 
 TEST(WriteBuffer, DeeperBufferAbsorbsBursts)
@@ -309,14 +317,15 @@ TEST(MemSys, ReadHitNoStall)
 
 TEST(MemSys, UnalignedCostsSecondReference)
 {
+    Counting n;
     MemorySubsystem ms;
     // Warm both longwords.
     ms.read(0x1000, 4, 0);
     ms.read(0x1004, 4, 10);
     auto r = ms.read(0x1002, 4, 100);
     EXPECT_TRUE(r.unaligned);
-    EXPECT_EQ(ms.unalignedRefs(), 1u);
-    EXPECT_EQ(ms.cache().stats().dReads.value(), 4u);  // 2 + 2 refs
+    EXPECT_EQ(n[Ev::MemUnalignedRefs], 1u);
+    EXPECT_EQ(n[Ev::CacheDReads], 4u);  // 2 + 2 refs
 }
 
 TEST(MemSys, WriteStallWithinSixCycles)
@@ -332,10 +341,11 @@ TEST(MemSys, WriteStallWithinSixCycles)
 
 TEST(MemSys, QuadReadMakesTwoReferences)
 {
+    Counting n;
     MemorySubsystem ms;
     ms.memory().write(0x3000, 8, 0x1122334455667788ull);
     ms.read(0x3000, 8, 0);
-    EXPECT_EQ(ms.cache().stats().dReads.value(), 2u);
+    EXPECT_EQ(n[Ev::CacheDReads], 2u);
     auto r = ms.read(0x3000, 8, 100);
     EXPECT_EQ(r.data, 0x1122334455667788ull);
     EXPECT_FALSE(r.unaligned);  // aligned quad is not "unaligned"
@@ -343,6 +353,7 @@ TEST(MemSys, QuadReadMakesTwoReferences)
 
 TEST(MemSys, IfetchDoesNotBlock)
 {
+    Counting n;
     MemorySubsystem ms;
     ms.memory().write(0x4000, 4, 0xABCD1234);
     uint64_t ready = 0;
@@ -351,5 +362,5 @@ TEST(MemSys, IfetchDoesNotBlock)
     EXPECT_EQ(ready, 56u);       // miss: available after SBI latency
     ms.ifetch(0x4002, 100, ready);
     EXPECT_EQ(ready, 100u);      // hit: available immediately
-    EXPECT_EQ(ms.cache().stats().iReads.value(), 2u);
+    EXPECT_EQ(n[Ev::CacheIReads], 2u);
 }

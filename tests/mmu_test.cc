@@ -9,6 +9,7 @@
 
 #include <map>
 
+#include "counting.hh"
 #include "mem/memory.hh"
 #include "mmu/pagetable.hh"
 #include "mmu/tb.hh"
@@ -16,6 +17,8 @@
 
 using namespace upc780;
 using namespace upc780::mmu;
+using obs::Ev;
+using testutil::Counting;
 
 TEST(AddressSpace, Classification)
 {
@@ -132,18 +135,21 @@ TEST(PageTableBuilder, AllocatesAndMaps)
 
 TEST(Tb, FillThenHit)
 {
+    Counting n;
     TranslationBuffer tb;
     arch::PAddr pa = 0;
     EXPECT_FALSE(tb.lookup(0x1234, false, pa));
     tb.fill(0x1234, 0x77);
     ASSERT_TRUE(tb.lookup(0x1234, false, pa));
     EXPECT_EQ(pa, (0x77u << PageShift) | 0x034u);
-    EXPECT_EQ(tb.stats().dMisses.value(), 1u);
-    EXPECT_EQ(tb.stats().fills.value(), 1u);
+    EXPECT_EQ(n[Ev::TbDMisses], 1u);
+    EXPECT_EQ(n[Ev::TbDHits], 1u);
+    EXPECT_EQ(n[Ev::TbFills], 1u);
 }
 
 TEST(Tb, SystemAndProcessHalvesIndependent)
 {
+    Counting n;
     TranslationBuffer tb;
     tb.fill(0x00000200, 1);           // process page 1
     tb.fill(0x80000200, 2);           // system page 1 (same set index)
@@ -152,7 +158,7 @@ TEST(Tb, SystemAndProcessHalvesIndependent)
     tb.flushProcess();
     EXPECT_FALSE(tb.probe(0x00000200));
     EXPECT_TRUE(tb.probe(0x80000200));
-    EXPECT_EQ(tb.stats().processFlushes.value(), 1u);
+    EXPECT_EQ(n[Ev::TbFlushes], 1u);
 }
 
 TEST(Tb, P0AndP1DoNotAlias)
@@ -192,12 +198,13 @@ TEST(Tb, InvalidateSingle)
 
 TEST(Tb, IStreamCountedSeparately)
 {
+    Counting n;
     TranslationBuffer tb;
     arch::PAddr pa;
     tb.lookup(0x5000, true, pa);
     tb.lookup(0x5000, false, pa);
-    EXPECT_EQ(tb.stats().iMisses.value(), 1u);
-    EXPECT_EQ(tb.stats().dMisses.value(), 1u);
+    EXPECT_EQ(n[Ev::TbIMisses], 1u);
+    EXPECT_EQ(n[Ev::TbDMisses], 1u);
 }
 
 TEST(Tb, DisabledAlwaysMisses)

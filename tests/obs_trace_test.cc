@@ -4,15 +4,16 @@
  * wraparound accounting, category masking, Chrome-trace export, and —
  * under the parallel experiment engine — that merging per-worker
  * streams preserves global event-count totals and per-category
- * timestamp monotonicity.
+ * timestamp monotonicity. Also the counter registry's two views: the
+ * ungated totals and the gated window.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 
 #include "common/random.hh"
+#include "common/serial.hh"
 #include "obs/hostprof.hh"
 #include "obs/trace.hh"
 #include "sim/engine.hh"
@@ -29,9 +30,6 @@ TEST(EventTracer, NamesAreStableAndTotal)
     // Every enumerator renders a real name; out-of-range values fall
     // back to "?" instead of reading past the switch. (upctrace and
     // the JSON exporter print these unconditionally.)
-    ::setenv("UPC780_OBS", "1", 1);
-    EXPECT_TRUE(obs::Config().counters);
-
     for (uint32_t bit = 1; bit <= obs::AllCats; bit <<= 1)
         EXPECT_NE(obs::catName(static_cast<Cat>(bit)), "?");
     EXPECT_EQ(obs::catName(static_cast<Cat>(1u << 30)), "?");
@@ -63,9 +61,6 @@ TEST(EventTracer, CounterTableListsNonZeroRows)
 
 TEST(EventTracer, EmitCycleClassifiesByPriority)
 {
-#if !UPC780_OBS_ENABLED
-    GTEST_SKIP() << "built with UPC780_OBS=OFF";
-#else
     obs::CounterRegistry reg;
     reg.setEnabled(true);
     obs::ObsScope scope(&reg, nullptr);
@@ -87,11 +82,100 @@ TEST(EventTracer, EmitCycleClassifiesByPriority)
     EXPECT_EQ(reg.value(obs::Ev::IboxDecodes), 1u);
     EXPECT_EQ(reg.value(obs::Ev::MachineChecks), 1u);
 
-    // A disabled registry counts nothing, matching a stopped monitor.
+    // A closed gate freezes the window, matching a stopped monitor;
+    // the total keeps counting.
     reg.setEnabled(false);
     obs::emitCycle(ev, false);
     EXPECT_EQ(reg.value(obs::Ev::EboxUops), 1u);
-#endif
+    EXPECT_EQ(reg.total(obs::Ev::EboxUops), 2u);
+}
+
+TEST(CounterRegistry, ClosedGateMovesTotalsNotWindow)
+{
+    obs::CounterRegistry reg;
+    reg.add(obs::Ev::CacheDReads, 5);  // before the window opens
+    EXPECT_EQ(reg.snapshot(), obs::Snapshot{});
+
+    reg.setEnabled(true);
+    reg.add(obs::Ev::CacheDReads, 3);
+    reg.setEnabled(false);
+    const obs::Snapshot window = reg.snapshot();
+    EXPECT_EQ(window.value(obs::Ev::CacheDReads), 3u);
+
+    // The Null process runs with the gate closed: the hardware view
+    // (totals) sees it, the window does not.
+    reg.add(obs::Ev::CacheDReads, 7);
+    reg.bump(obs::Ev::IbFills);
+    EXPECT_EQ(reg.snapshot(), window);
+    EXPECT_EQ(reg.total(obs::Ev::CacheDReads), 15u);
+    EXPECT_EQ(reg.total(obs::Ev::IbFills), 1u);
+
+    // A second open interval adds to the first.
+    reg.setEnabled(true);
+    reg.bump(obs::Ev::CacheDReads);
+    EXPECT_EQ(reg.value(obs::Ev::CacheDReads), 4u);
+    EXPECT_EQ(reg.value(obs::Ev::IbFills), 0u);
+}
+
+TEST(CounterRegistry, ReopeningAnOpenGateKeepsCounts)
+{
+    // The kernel's switch hook calls setEnabled(true) on every
+    // non-idle switch, whether or not the gate is already open.
+    obs::CounterRegistry reg;
+    reg.setEnabled(true);
+    reg.add(obs::Ev::EboxUops, 10);
+    reg.setEnabled(true);
+    reg.add(obs::Ev::EboxUops, 2);
+    reg.setEnabled(true);
+    EXPECT_EQ(reg.value(obs::Ev::EboxUops), 12u);
+
+    // Closing twice is as harmless as opening twice.
+    reg.setEnabled(false);
+    reg.bump(obs::Ev::EboxUops);
+    reg.setEnabled(false);
+    EXPECT_EQ(reg.value(obs::Ev::EboxUops), 12u);
+    EXPECT_EQ(reg.total(obs::Ev::EboxUops), 13u);
+}
+
+TEST(CounterRegistry, MidWindowRoundTripRestoresTotalsAndWindow)
+{
+    obs::CounterRegistry reg;
+    reg.add(obs::Ev::TbDMisses, 4);
+    reg.setEnabled(true);
+    reg.add(obs::Ev::TbDMisses, 6);
+    reg.setEnabled(false);
+    reg.add(obs::Ev::TbDMisses, 100);
+    reg.setEnabled(true);
+    reg.add(obs::Ev::TbDMisses, 1);  // window 7, total 111, gate open
+
+    for (bool closeFirst : {false, true}) {
+        SCOPED_TRACE(closeFirst ? "gate closed" : "gate open");
+        obs::CounterRegistry src = reg;
+        if (closeFirst)
+            src.setEnabled(false);
+        ByteWriter w;
+        src.serialize(w);
+        const std::vector<uint8_t> bytes = w.take();
+        obs::CounterRegistry dst;
+        ByteReader r(bytes);
+        dst.deserialize(r);
+        r.expectEnd("counters");
+
+        EXPECT_EQ(dst.enabled(), src.enabled());
+        EXPECT_EQ(dst.snapshot(), src.snapshot());
+        EXPECT_EQ(dst.total(obs::Ev::TbDMisses), 111u);
+        EXPECT_EQ(dst.value(obs::Ev::TbDMisses), 7u);
+
+        // Both go on counting identically after the restore.
+        for (obs::CounterRegistry *x : {&src, &dst}) {
+            x->add(obs::Ev::TbDMisses, 2);
+            x->setEnabled(!x->enabled());
+            x->bump(obs::Ev::TbDMisses);
+        }
+        EXPECT_EQ(dst.snapshot(), src.snapshot());
+        EXPECT_EQ(dst.total(obs::Ev::TbDMisses),
+                  src.total(obs::Ev::TbDMisses));
+    }
 }
 
 TEST(EventTracer, ClearResetsRingAndAccounting)
@@ -228,7 +312,6 @@ TEST(EventTracer, ChromeJsonExport)
     EXPECT_EQ(json.back(), '\n');
 }
 
-#if UPC780_OBS_ENABLED
 TEST(EventTracerEngine, ParallelStreamsMergeConsistently)
 {
     // Run the five workloads under the parallel engine with per-run
@@ -301,4 +384,3 @@ TEST(EventTracerEngine, ParallelStreamsMergeConsistently)
         EXPECT_EQ(stops, 1u) << w.name;
     }
 }
-#endif

@@ -88,12 +88,14 @@ TEST(Experiment, Reproducible)
 
 TEST(Experiment, IdleExclusionMatchesPaperMethod)
 {
-    // With one user and long think times, the machine idles between
-    // sessions. Excluding the Null process (the default, as in the
-    // paper) must yield a lower per-instruction cycle count than
-    // including it, and must not count the idle loop's instructions.
+    // With one user, a short program and long think times, the
+    // machine idles between sessions. Excluding the Null process (the
+    // default, as in the paper) must yield a lower per-instruction
+    // cycle count than including it, and must not count the idle
+    // loop's instructions.
     auto p = wkl::timesharing1Profile();
     p.users = 1;
+    p.codeBlocks = 20;  // short enough to reach terminal wait
     p.thinkMeanCycles = 150000;
 
     sim::ExperimentConfig cfg = smallConfig();
@@ -105,17 +107,31 @@ TEST(Experiment, IdleExclusionMatchesPaperMethod)
     cfg.excludeIdle = false;
     auto incl = sim::ExperimentRunner(cfg).runWorkload(p);
 
+    // The idle loop's branch-to-self instructions fill the budget
+    // cheaply, so the inclusive measurement ends sooner.
+    EXPECT_GT(excl.osStats.contextSwitches, incl.osStats.contextSwitches);
+    EXPECT_GT(excl.cycles, incl.cycles);
+
     upc::HistogramAnalyzer ax(excl.histogram,
                               ucode::microcodeImage());
     upc::HistogramAnalyzer ai(incl.histogram,
                               ucode::microcodeImage());
-    // The idle loop is branch-to-self: including it inflates the
-    // SIMPLE group and lowers measured CPI (the bias the paper
-    // removed it to avoid).
+    // ...and inflate the SIMPLE group, lowering measured CPI (the bias
+    // the paper removed it to avoid).
     auto fx = ax.opcodeGroupFrequency();
     auto fi = ai.opcodeGroupFrequency();
     EXPECT_GT(fi[size_t(arch::Group::Simple)],
-              fx[size_t(arch::Group::Simple)] - 1e-9);
+              fx[size_t(arch::Group::Simple)]);
+    EXPECT_GT(ax.cpi(), ai.cpi());
+
+    // Two windows: the hardware counters span the whole measurement,
+    // Null process included, while the obs window is gated with the
+    // monitor. They differ exactly when the Null process was excluded.
+    EXPECT_GT(excl.hw.ibFills, excl.obs.value(obs::Ev::IbFills));
+    for (const sim::HwField &f : sim::HwFields) {
+        EXPECT_GE(excl.hw.*f.member, excl.obs.value(f.ev)) << f.name;
+        EXPECT_EQ(incl.hw.*f.member, incl.obs.value(f.ev)) << f.name;
+    }
 }
 
 TEST(Experiment, HardwareCountersMoveTogether)

@@ -432,58 +432,57 @@ TEST(SnapMachine, CheckpointSectionBytesPinned)
     // The checkpoint bytes are part of the determinism contract: a
     // refactor of any serializer must leave every section payload
     // byte-identical. Values recorded from the hand-written
-    // serializers; the runner's trailing host-time words and the
-    // result's host profile are wall-clock and left out.
-#if !UPC780_OBS_ENABLED
-    GTEST_SKIP() << "tracing is compiled out";
-#endif
+    // serializers, except "machine" and "counters", re-recorded when
+    // the component counters moved into the registry (FormatVersion
+    // 2); the runner's trailing host-time words and the result's host
+    // profile are wall-clock and left out.
     // Keys are "w<index in paperWorkloads()>/<section>".
     static const std::map<std::string, uint64_t> pinned = {
-        {"w0/counters", 0x65a64d8cd37592d6ull},
+        {"w0/counters", 0x47b097cfc23f7026ull},
         {"w0/injector", 0x1d7ff6199cadc13eull},
         {"w0/instr", 0xe0db8af95365f9f2ull},
         {"w0/kernel", 0x9dd9e2d71b2bdba3ull},
-        {"w0/machine", 0x6d3b928b69150db7ull},
+        {"w0/machine", 0xd1bb0b685b7fa44aull},
         {"w0/monitor", 0xb3d9a743edf93dedull},
         {"w0/result", 0x405ae2e64ac3501eull},
         {"w0/runner", 0x8ec83ef6cdeae6a7ull},
         {"w0/tracer", 0xc37148d94401c31bull},
         {"w0/watchdog", 0x8267374e8f28a240ull},
-        {"w1/counters", 0x0bffbf0c7fb0a266ull},
+        {"w1/counters", 0xf6961865ee455363ull},
         {"w1/injector", 0x8d487d67a8ff3b70ull},
         {"w1/instr", 0xedf1de58b390c677ull},
         {"w1/kernel", 0x2a273cec4b42fbaeull},
-        {"w1/machine", 0x6c466f9f45ccded0ull},
+        {"w1/machine", 0x075e3959dd8784f7ull},
         {"w1/monitor", 0x4c04c8c63362ea28ull},
         {"w1/result", 0x516bdc31e6dc97cfull},
         {"w1/runner", 0x4d912a27687353dcull},
         {"w1/tracer", 0xec2674a6383d1d11ull},
         {"w1/watchdog", 0x9b35edec1b741418ull},
-        {"w2/counters", 0x5dc6ed8148aba9e6ull},
+        {"w2/counters", 0x4cb2285c0e066c89ull},
         {"w2/injector", 0x40d93c59a3e9a969ull},
         {"w2/instr", 0x58e52b73e38e3391ull},
         {"w2/kernel", 0x84633b6de4242c8aull},
-        {"w2/machine", 0x16c1461a599d649aull},
+        {"w2/machine", 0xafa6fdd9b1607c4bull},
         {"w2/monitor", 0x598a17d48557e4b4ull},
         {"w2/result", 0xdf354fe4d765618eull},
         {"w2/runner", 0x980b185a65a720adull},
         {"w2/tracer", 0x7e744438a3f3caf0ull},
         {"w2/watchdog", 0xd04051b551c29aeaull},
-        {"w3/counters", 0x0f884f8f3bb213caull},
+        {"w3/counters", 0xc4885dec3a0aca1eull},
         {"w3/injector", 0xa80585ce76879494ull},
         {"w3/instr", 0x3038cec018b22b87ull},
         {"w3/kernel", 0xfc20be633d10b5ccull},
-        {"w3/machine", 0x41d3488a921bde72ull},
+        {"w3/machine", 0xaf212e870ae758fbull},
         {"w3/monitor", 0xf73e9b1ee58b752bull},
         {"w3/result", 0x67b478d7475bd16bull},
         {"w3/runner", 0x04872c2214968711ull},
         {"w3/tracer", 0xbc3be0bb2952657dull},
         {"w3/watchdog", 0x0992bea8b54392f0ull},
-        {"w4/counters", 0x2e80d5061beebeccull},
+        {"w4/counters", 0x91865b9c8e74ac28ull},
         {"w4/injector", 0x4b390614712fd79cull},
         {"w4/instr", 0x6f1afda6593b069full},
         {"w4/kernel", 0x372ce1f6a0567b1cull},
-        {"w4/machine", 0x53934a5c892dc157ull},
+        {"w4/machine", 0x1e7e9fee7b342841ull},
         {"w4/monitor", 0x33583b7448bb53deull},
         {"w4/result", 0x797d1bdde3798321ull},
         {"w4/runner", 0xd72d692e67d717f8ull},
@@ -539,9 +538,6 @@ TEST(SnapPayload, EveryTruncatedSectionIsRejected)
     // every strict prefix of every section of a real checkpoint must
     // be a SnapshotError, never a crash (the snap label runs this
     // under ASan and UBSan) and never a silent success.
-#if !UPC780_OBS_ENABLED
-    GTEST_SKIP() << "tracing is compiled out";
-#endif
     const fs::path dir = scratchDir("snap_prefix");
     const auto profile = wkl::timesharing1Profile();
     const sim::ExperimentConfig cfg = allSectionsConfig(dir);
@@ -734,8 +730,8 @@ TEST(SnapPayload, KernelRejectsOutOfRangeTerminalPid)
 
 TEST(SnapPayload, CounterGateIsZeroOrOne)
 {
-    // bump() adds the gate, so a restored gate of 2 would count every
-    // event twice.
+    // The gate says whether the registry's marks hold the window or
+    // its opening totals, so a restored gate of 2 would misread them.
     obs::CounterRegistry reg;
     reg.setEnabled(true);
     ByteWriter w;
@@ -866,6 +862,68 @@ TEST(SnapResume, CompositeResumesByteIdenticalSerialAndParallel)
         ASSERT_EQ(serial.histogram.count(b), parallel.histogram.count(b));
         ASSERT_EQ(serial.histogram.stall(b), parallel.histogram.stall(b));
     }
+}
+
+TEST(SnapResume, UnreadableSpoolFileRunsFromTheStart)
+{
+    // A spool file written by an older format version, or damaged on
+    // disk, must cost one re-run, not fail the task on every resume.
+    const fs::path dir = scratchDir("snap_unreadable");
+    const auto profile = wkl::timesharing1Profile();
+    const auto want = fingerprint(
+        sim::ExperimentRunner(smallConfig()).runWorkload(profile));
+
+    sim::ExperimentConfig cfg = smallConfig();
+    cfg.checkpoint.dir = dir.string();
+    cfg.checkpoint.everyCycles = 20000;
+    cfg.checkpoint.resume = true;
+    const std::string tid = snap::taskId(profile.name, profile.seed);
+    const std::string result = snap::resultPath(cfg.checkpoint.dir, tid);
+
+    using Damage = void (*)(std::vector<uint8_t> &);
+    const std::pair<const char *, Damage> damages[] = {
+        {"previous version word",
+         [](std::vector<uint8_t> &b) {
+             b[sizeof(snap::Magic)] = uint8_t(snap::FormatVersion - 1);
+         }},
+        {"flipped bit",
+         [](std::vector<uint8_t> &b) { b[b.size() / 2] ^= 0x10; }},
+    };
+    for (const bool inResult : {true, false}) {
+        for (const auto &[what, damage] : damages) {
+            SCOPED_TRACE(std::string(what) +
+                         (inResult ? " in the result" : " in a checkpoint"));
+            // Fill the spool (or reuse it) with readable files first.
+            ASSERT_EQ(fingerprint(sim::runWorkloadRecoverable(cfg, profile)),
+                      want);
+            std::string victim = result;
+            if (!inResult) {
+                fs::remove(result);
+                victim = snap::latestCheckpoint(cfg.checkpoint.dir, tid);
+                ASSERT_FALSE(victim.empty());
+            }
+            std::vector<uint8_t> bytes = readFile(victim);
+            damage(bytes);
+            std::ofstream(victim, std::ios::binary | std::ios::trunc)
+                .write(reinterpret_cast<const char *>(bytes.data()),
+                       static_cast<std::streamsize>(bytes.size()));
+
+            sim::WorkloadResult got;
+            ASSERT_NO_THROW(got = sim::runWorkloadRecoverable(cfg, profile));
+            EXPECT_EQ(fingerprint(got), want);
+            if (!inResult) {
+                EXPECT_EQ(got.resumedFromCycle, 0u);
+            }
+        }
+    }
+
+    std::ifstream manifest(dir / "manifest.txt");
+    const std::string log((std::istreambuf_iterator<char>(manifest)),
+                          std::istreambuf_iterator<char>());
+    EXPECT_NE(log.find("unreadable " + fs::path(result).filename().string() +
+                       "; running the workload"),
+              std::string::npos);
+    EXPECT_NE(log.find(".ckpt; running from the start"), std::string::npos);
 }
 
 TEST(SnapWatchdog, DiagnosticsCarryCheckpointContext)

@@ -39,11 +39,9 @@ expectSameMeasurement(const ubench::Measurement &a,
     EXPECT_EQ(a.monitorCycles, b.monitorCycles);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.hist, b.hist);
-#if UPC780_OBS_ENABLED
     for (size_t i = 0; i < obs::NumEvents; ++i)
         EXPECT_EQ(a.obs.counters[i], b.obs.counters[i])
             << obs::evName(obs::Ev(i));
-#endif
 }
 
 /**
@@ -85,13 +83,11 @@ TEST(UbenchSnap, ClosedFormHoldsThroughRestore)
 
     ASSERT_EQ((m2.machineCycles - m1.machineCycles) % q, 0u);
     EXPECT_EQ((m2.machineCycles - m1.machineCycles) / q, want.cycles);
-#if UPC780_OBS_ENABLED
     for (size_t i = 0; i < obs::NumEvents; ++i) {
         uint64_t d = m2.obs.counters[i] - m1.obs.counters[i];
         ASSERT_EQ(d % q, 0u) << obs::evName(obs::Ev(i));
         EXPECT_EQ(d / q, want.ev[i]) << obs::evName(obs::Ev(i));
     }
-#endif
 }
 
 } // namespace

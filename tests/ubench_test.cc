@@ -82,14 +82,12 @@ expectExactMatch(const Kernel &k)
 
     EXPECT_EQ(got.cycles, want.cycles) << "machine cycles per period";
 
-#if UPC780_OBS_ENABLED
     for (size_t i = 0; i < obs::NumEvents; ++i)
         EXPECT_EQ(got.ev[i], want.ev[i])
             << "counter " << obs::evName(obs::Ev(i));
-#endif
 
-    // The histogram board counts regardless of UPC780_OBS: assert the
-    // full sparse map, and name any bucket that disagrees.
+    // Assert the histogram's full sparse map, and name any bucket that
+    // disagrees.
     for (const auto &[addr, cs] : want.hist) {
         auto it = got.hist.find(addr);
         if (it == got.hist.end()) {

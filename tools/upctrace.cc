@@ -88,12 +88,6 @@ printText(const std::vector<obs::TraceEvent> &events)
 int
 main(int argc, char **argv)
 {
-#if !UPC780_OBS_ENABLED
-    std::fprintf(stderr,
-                 "upctrace: built with UPC780_OBS=OFF; rebuild with "
-                 "-DUPC780_OBS=ON to trace\n");
-    return 1;
-#else
     uint32_t mask = obs::AllCats;
     uint32_t limit = 1u << 16;
     bool json = false, metrics = false;
@@ -188,5 +182,4 @@ main(int argc, char **argv)
         std::fputs(obs::writeMetrics({row}, r.obs).c_str(), stderr);
     }
     return 0;
-#endif
 }
