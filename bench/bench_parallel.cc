@@ -31,10 +31,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "sim/engine.hh"
 #include "sim/run.hh"
 #include "snap/snapshot.hh"
@@ -205,11 +207,6 @@ main()
     fs::remove_all(ckdir, ec);
 
     if (const char *out = std::getenv("UPC780_BENCH_JSON")) {
-        std::FILE *f = std::fopen(out, "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", out);
-            return 1;
-        }
         // Emitted figures are only meaningful from an optimized
         // build; record which one produced them so scripts/check.sh
         // can refuse to commit debug-build numbers as the baseline.
@@ -218,41 +215,40 @@ main()
 #else
         const char *build_type = "debug";
 #endif
-        std::fprintf(f,
-                     "{\n  \"bench\": \"parallel\",\n"
-                     "  \"library_build_type\": \"%s\",\n"
-                     "  \"instructions_per_workload\": %llu,\n"
-                     "  \"hardware_threads\": %u,\n"
-                     "  \"hw_concurrency\": %u,\n  \"jobs\": [",
-                     build_type,
-                     static_cast<unsigned long long>(instr), hw, hw);
         // The worker counts actually measured and the host's core
         // count together make the scaling figures interpretable when
         // the baseline was produced on a different machine.
-        for (size_t i = 0; i < sweep.size(); ++i)
-            std::fprintf(f, "%s%u", i ? ", " : "", sweep[i]);
-        std::fprintf(f, "],\n  \"scaling\": [");
-        for (size_t i = 0; i < rows.size(); ++i)
-            std::fprintf(f,
-                         "%s\n    {\"jobs\": %u, \"wall_s\": %.6f, "
-                         "\"speedup\": %.3f, \"identical\": %s}",
-                         i ? "," : "", rows[i].jobs, rows[i].wall,
-                         base_wall / rows[i].wall,
-                         rows[i].same ? "true" : "false");
-        std::fprintf(f,
-                     "\n  ],\n"
-                     "  \"audit_overhead\": {\"off_s\": %.6f, "
-                     "\"on_s\": %.6f, \"identical\": %s},\n"
-                     "  \"checkpoint\": {\"plain_s\": %.6f, "
-                     "\"checkpointed_s\": %.6f, \"snapshots\": %zu, "
-                     "\"restore_s\": %.6f, \"identical\": %s},\n"
-                     "  \"all_identical\": %s\n}\n",
-                     wall_audit_off, wall_audit_on,
-                     audit_same ? "true" : "false",
-                     wall_plain, wall_ckpt, saved, wall_restore,
-                     ck_same ? "true" : "false",
-                     all_identical ? "true" : "false");
-        std::fclose(f);
+        json::Value jobs = json::array();
+        for (unsigned j : sweep)
+            jobs.push(int64_t{j});
+        json::Value scaling = json::array();
+        for (const ScaleRow &r : rows)
+            scaling.push(json::Members{{"jobs", int64_t{r.jobs}},
+                                       {"wall_s", r.wall},
+                                       {"speedup", base_wall / r.wall},
+                                       {"identical", r.same}});
+        const json::Value doc = json::Members{
+            {"bench", "parallel"},
+            {"library_build_type", build_type},
+            {"instructions_per_workload", instr},
+            {"hardware_threads", int64_t{hw}},
+            {"hw_concurrency", int64_t{hw}},
+            {"jobs", std::move(jobs)},
+            {"scaling", std::move(scaling)},
+            {"audit_overhead", json::Members{{"off_s", wall_audit_off},
+                                             {"on_s", wall_audit_on},
+                                             {"identical", audit_same}}},
+            {"checkpoint", json::Members{{"plain_s", wall_plain},
+                                         {"checkpointed_s", wall_ckpt},
+                                         {"snapshots", uint64_t{saved}},
+                                         {"restore_s", wall_restore},
+                                         {"identical", ck_same}}},
+            {"all_identical", all_identical}};
+        std::ofstream f(out, std::ios::trunc);
+        if (!(f << doc.dumpPretty())) {
+            std::fprintf(stderr, "cannot write %s\n", out);
+            return 1;
+        }
         std::printf("wrote %s\n", out);
     }
     return all_identical ? 0 : 1;

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "arch/assembler.hh"
+#include "common/json.hh"
 #include "cpu/vax780.hh"
 #include "os/kernel.hh"
 #include "upc/monitor.hh"
@@ -286,56 +287,52 @@ class CaptureReporter : public benchmark::ConsoleReporter
     }
 };
 
-/**
- * Pull benchmark names and items_per_second out of a google-benchmark
- * JSON file, plus the context build-type fields. Hand-rolled over the
- * known one-field-per-line layout the library emits; no JSON library
- * in the image.
- */
+/** Benchmark names and items/s of a google-benchmark JSON file. */
 struct BaselineFile
 {
     std::string buildType;  //!< upc780_build_type or library_build_type
     std::vector<Measured> results;
 };
 
-std::string
-jsonStringField(const std::string &line, const char *key)
-{
-    std::string pat = std::string("\"") + key + "\": \"";
-    size_t p = line.find(pat);
-    if (p == std::string::npos)
-        return "";
-    p += pat.size();
-    size_t e = line.find('"', p);
-    return e == std::string::npos ? "" : line.substr(p, e - p);
-}
-
-bool
-loadBaseline(const std::string &path, BaselineFile &out)
+/** The whole of @p path as a JSON document; ConfigError if it is none. */
+json::Value
+readJsonFile(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
-        return false;
-    std::string line, name;
-    std::string libBuild;
-    while (std::getline(in, line)) {
-        if (std::string v = jsonStringField(line, "library_build_type");
-            !v.empty())
-            libBuild = v;
-        if (std::string v = jsonStringField(line, "upc780_build_type");
-            !v.empty())
-            out.buildType = v;
-        if (std::string v = jsonStringField(line, "name"); !v.empty())
-            name = v;
-        size_t p = line.find("\"items_per_second\": ");
-        if (p != std::string::npos && !name.empty()) {
-            out.results.push_back(
-                {name, std::strtod(line.c_str() + p + 20, nullptr)});
-            name.clear();
+        sim_throw(ConfigError, "cannot open %s", path.c_str());
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return json::parse(ss.str());
+}
+
+/**
+ * Load a baseline; false when the file cannot be read, is not JSON,
+ * or has no `benchmarks` array — a garbled baseline must not pass a
+ * compare by yielding no rows.
+ */
+bool
+loadBaseline(const std::string &path, BaselineFile &out)
+{
+    try {
+        const json::Value doc = readJsonFile(path);
+        const json::Value *benchmarks = doc.find("benchmarks");
+        if (!benchmarks || !benchmarks->isArray())
+            return false;
+        // upc780_build_type, when present, overrides the library's.
+        const json::Value *ctx = doc.find("context");
+        for (const char *key : {"library_build_type", "upc780_build_type"})
+            if (const json::Value *v = ctx ? ctx->find(key) : nullptr)
+                out.buildType = v->asString();
+        for (const json::Value &b : benchmarks->asArray()) {
+            const json::Value *name = b.find("name");
+            const json::Value *ips = b.find("items_per_second");
+            if (name && ips)
+                out.results.push_back({name->asString(), ips->asDouble()});
         }
+    } catch (const ConfigError &) {
+        return false;
     }
-    if (out.buildType.empty())
-        out.buildType = libBuild;
     return true;
 }
 
@@ -349,26 +346,27 @@ loadBaseline(const std::string &path, BaselineFile &out)
 void
 fixEmittedJson(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
+    json::Value fixed = json::object();
+    try {
+        const json::Value emitted = readJsonFile(path);
+        for (const auto &[key, value] : emitted.asObject()) {
+            if (key != "context") {
+                fixed.set(key, value);
+                continue;
+            }
+            json::Value ctx = json::object();
+            for (const auto &[k, v] : value.asObject())
+                ctx.set(k, k == "library_build_type"
+                               ? json::Value(kBuildType)
+                               : v);
+            fixed.set(key, std::move(ctx));
+        }
+    } catch (const ConfigError &e) {
+        std::fprintf(stderr, "cannot rewrite %s: %s\n", path.c_str(),
+                     e.what());
         return;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    std::string text = ss.str();
-    in.close();
-
-    const std::string key = "\"library_build_type\": \"";
-    size_t p = text.find(key);
-    if (p == std::string::npos)
-        return;
-    p += key.size();
-    size_t e = text.find('"', p);
-    if (e == std::string::npos)
-        return;
-    text.replace(p, e - p, kBuildType);
-
-    std::ofstream outf(path, std::ios::trunc);
-    outf << text;
+    }
+    std::ofstream(path, std::ios::trunc) << fixed.dumpPretty();
 }
 
 /** Report deltas vs a baseline file; returns the regression count. */

@@ -462,6 +462,32 @@ class ByteReader
  */
 uint32_t crc32(const uint8_t *data, size_t size, uint32_t seed = 0);
 
+/**
+ * 64-bit FNV-1a: the snapshot config hash, the cache-entry metadata
+ * hash and the control-store image hash. The offset basis is one digit
+ * short of the published one (14695981039346656037); every pinned hash
+ * was computed with it, so it stays. Pass a previous result as @p h to
+ * continue a running hash.
+ */
+constexpr uint64_t Fnv1aOffset = 1469598103934665603ull;
+constexpr uint64_t Fnv1aPrime = 1099511628211ull;
+
+inline uint64_t
+fnv1a(const uint8_t *p, size_t n, uint64_t h = Fnv1aOffset)
+{
+    for (size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= Fnv1aPrime;
+    }
+    return h;
+}
+
+inline uint64_t
+fnv1a(const std::vector<uint8_t> &v, uint64_t h = Fnv1aOffset)
+{
+    return fnv1a(v.data(), v.size(), h);
+}
+
 } // namespace upc780
 
 #endif // UPC780_COMMON_SERIAL_HH

@@ -1,8 +1,8 @@
 #include "obs/trace.hh"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "common/json.hh"
 #include "common/serial.hh"
 
 namespace upc780::obs
@@ -145,29 +145,25 @@ mergeStreams(const std::vector<std::vector<TraceEvent>> &streams)
 std::string
 toChromeJson(const std::vector<TraceEvent> &events)
 {
-    std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    char buf[256];
-    bool first = true;
+    json::Value list = json::array();
     for (const TraceEvent &e : events) {
         // One machine cycle is 200 ns; trace_event ts is in µs.
-        double us = static_cast<double>(e.ts) * 0.2;
-        std::snprintf(
-            buf, sizeof(buf),
-            "%s\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\","
-            "\"pid\":1,\"tid\":%u,\"ts\":%.1f,"
-            "\"args\":{\"arg0\":%llu,\"arg1\":%u,\"cycle\":%llu}}",
-            first ? "" : ",",
-            std::string(codeName(static_cast<Code>(e.code))).c_str(),
-            std::string(catName(static_cast<Cat>(e.cat))).c_str(),
-            static_cast<unsigned>(e.stream), us,
-            static_cast<unsigned long long>(e.arg0),
-            static_cast<unsigned>(e.arg1),
-            static_cast<unsigned long long>(e.ts));
-        out += buf;
-        first = false;
+        list.push(json::Members{
+            {"name", std::string(codeName(static_cast<Code>(e.code)))},
+            {"cat", std::string(catName(static_cast<Cat>(e.cat)))},
+            {"ph", "i"},
+            {"s", "t"},
+            {"pid", 1},
+            {"tid", e.stream},
+            {"ts", static_cast<double>(e.ts) * 0.2},
+            {"args", json::Members{{"arg0", e.arg0},
+                                   {"arg1", int64_t{e.arg1}},
+                                   {"cycle", e.ts}}}});
     }
-    out += "\n]}\n";
-    return out;
+    return json::Value(json::Members{{"displayTimeUnit", "ms"},
+                                     {"traceEvents", std::move(list)}})
+               .dump() +
+           "\n";
 }
 
 template <class Self, class Ar>

@@ -175,8 +175,9 @@ mergeStreams(const std::vector<std::vector<TraceEvent>> &streams);
 
 /**
  * Export as a Chrome trace_event JSON document (instant events, one
- * pid per capture, one tid per stream). Load in Perfetto to see each
- * workload's events on its own track.
+ * pid per capture, one tid per stream) in the codec's canonical
+ * single-line form. Load in Perfetto to see each workload's events on
+ * its own track.
  */
 std::string toChromeJson(const std::vector<TraceEvent> &events);
 

@@ -127,7 +127,7 @@ configHash(const ExperimentConfig &cfg, const wkl::WorkloadProfile &p)
     w.b(cfg.lintMicrocode);
     w.b(cfg.auditAttribution);
 
-    return snap::fnv1a(w.data());
+    return fnv1a(w.data());
 }
 
 void

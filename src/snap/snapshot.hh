@@ -145,28 +145,6 @@ class SnapshotReader
     std::vector<Section> sections_;
 };
 
-// ----- config fingerprinting -------------------------------------------
-
-constexpr uint64_t Fnv1aOffset = 1469598103934665603ull;
-constexpr uint64_t Fnv1aPrime = 1099511628211ull;
-
-/** FNV-1a over a byte stream (used for the snapshot config hash). */
-inline uint64_t
-fnv1a(const uint8_t *p, size_t n, uint64_t h = Fnv1aOffset)
-{
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= Fnv1aPrime;
-    }
-    return h;
-}
-
-inline uint64_t
-fnv1a(const std::vector<uint8_t> &v, uint64_t h = Fnv1aOffset)
-{
-    return fnv1a(v.data(), v.size(), h);
-}
-
 // ----- checkpoint policy -----------------------------------------------
 
 /**

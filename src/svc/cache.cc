@@ -156,7 +156,7 @@ ResultCache::put(const std::string &key, const std::string &value)
     snap::SnapshotMeta meta;
     meta.kind = snap::SnapshotKind::CacheEntry;
     meta.workload = key.substr(0, 16); // advisory only
-    meta.configHash = snap::fnv1a(
+    meta.configHash = fnv1a(
         reinterpret_cast<const uint8_t *>(key.data()), key.size());
     snap::SnapshotWriter w(meta);
     ByteWriter payload;

@@ -46,7 +46,7 @@
 #include "svc/cache.hh"
 #include "svc/clock.hh"
 #include "svc/job.hh"
-#include "svc/json.hh"
+#include "common/json.hh"
 
 namespace upc780::svc
 {

@@ -25,7 +25,7 @@
 
 #include "cpu/vax780.hh"
 #include "sim/experiment.hh"
-#include "svc/json.hh"
+#include "common/json.hh"
 #include "workload/profile.hh"
 
 namespace upc780::svc

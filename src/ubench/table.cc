@@ -5,6 +5,7 @@
 #include "arch/assembler.hh"
 #include "arch/opcodes.hh"
 #include "common/error.hh"
+#include "common/json.hh"
 #include "cpu/vax780.hh"
 #include "upc/monitor.hh"
 
@@ -184,41 +185,27 @@ sweepLatencyTable()
 std::string
 tableToJson(const LatencyTable &t)
 {
-    std::string out;
-    char buf[256];
-    out += "{\n  \"schema\": \"upc780-latency-table-v1\",\n";
-    std::snprintf(buf, sizeof buf, "  \"baseline_cycles\": %llu,\n",
-                  static_cast<unsigned long long>(t.baselineCycles));
-    out += buf;
-    out += "  \"rows\": [\n";
-    for (size_t i = 0; i < t.rows.size(); ++i) {
-        const TableRow &r = t.rows[i];
-        std::snprintf(
-            buf, sizeof buf,
-            "    {\"opcode\": %u, \"mnemonic\": \"%s\", \"group\": \"%s\", "
-            "\"cycles\": %llu, \"uops\": %llu, \"stalls\": %llu, "
-            "\"latency\": %lld, \"cycles_nofpa\": %lld}%s\n",
-            r.opcode, r.mnemonic.c_str(), r.group.c_str(),
-            static_cast<unsigned long long>(r.cycles),
-            static_cast<unsigned long long>(r.uops),
-            static_cast<unsigned long long>(r.stalls),
-            static_cast<long long>(r.latency),
-            static_cast<long long>(r.cyclesNoFpa),
-            i + 1 < t.rows.size() ? "," : "");
-        out += buf;
-    }
-    out += "  ],\n  \"skipped\": [\n";
-    for (size_t i = 0; i < t.skipped.size(); ++i) {
-        const TableSkip &s = t.skipped[i];
-        std::snprintf(buf, sizeof buf,
-                      "    {\"opcode\": %u, \"mnemonic\": \"%s\", "
-                      "\"reason\": \"%s\"}%s\n",
-                      s.opcode, s.mnemonic.c_str(), s.reason.c_str(),
-                      i + 1 < t.skipped.size() ? "," : "");
-        out += buf;
-    }
-    out += "  ]\n}\n";
-    return out;
+    json::Value rows = json::array();
+    for (const TableRow &r : t.rows)
+        rows.push(json::Members{{"opcode", r.opcode},
+                                {"mnemonic", r.mnemonic},
+                                {"group", r.group},
+                                {"cycles", r.cycles},
+                                {"uops", r.uops},
+                                {"stalls", r.stalls},
+                                {"latency", r.latency},
+                                {"cycles_nofpa", r.cyclesNoFpa}});
+    json::Value skipped = json::array();
+    for (const TableSkip &s : t.skipped)
+        skipped.push(json::Members{{"opcode", s.opcode},
+                                   {"mnemonic", s.mnemonic},
+                                   {"reason", s.reason}});
+    return json::Value(json::Members{
+                           {"schema", "upc780-latency-table-v1"},
+                           {"baseline_cycles", t.baselineCycles},
+                           {"rows", std::move(rows)},
+                           {"skipped", std::move(skipped)}})
+        .dumpPretty();
 }
 
 std::string

@@ -1,6 +1,7 @@
 #include "ucode/controlstore.hh"
 
 #include "common/logging.hh"
+#include "common/serial.hh"
 
 namespace upc780::ucode
 {
@@ -187,42 +188,33 @@ ibName(Ib i)
 namespace
 {
 
-/** FNV-1a, local copy (ucode must not depend on the snapshot layer). */
-struct Fnv
-{
-    uint64_t h = 1469598103934665603ull;
-
-    void
-    mix(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    }
-};
-
 uint64_t
 computeImageHash(const MicrocodeImage &img)
 {
-    Fnv f;
-    f.mix(img.allocated);
+    uint64_t h = Fnv1aOffset;
+    auto mix = [&h](uint64_t v) {
+        uint8_t le[8];
+        for (int i = 0; i < 8; ++i)
+            le[i] = static_cast<uint8_t>(v >> (8 * i));
+        h = fnv1a(le, sizeof(le), h);
+    };
+    mix(img.allocated);
     for (uint32_t a = 0; a < img.allocated; ++a) {
         const MicroOp &op = img.ops[a];
-        f.mix(static_cast<uint64_t>(op.dp));
-        f.mix(static_cast<uint64_t>(op.mem));
-        f.mix(static_cast<uint64_t>(op.ib));
-        f.mix(static_cast<uint64_t>(op.seq));
-        f.mix(op.target);
-        f.mix(op.arg);
-        f.mix(static_cast<uint64_t>(img.info[a].row));
+        mix(static_cast<uint64_t>(op.dp));
+        mix(static_cast<uint64_t>(op.mem));
+        mix(static_cast<uint64_t>(op.ib));
+        mix(static_cast<uint64_t>(op.seq));
+        mix(op.target);
+        mix(op.arg);
+        mix(static_cast<uint64_t>(img.info[a].row));
     }
     const Landmarks &m = img.marks;
     for (UAddr a : {m.decode, m.ibStallDecode, m.ibStallSpec1,
                     m.ibStallSpec26, m.ibStallBdisp, m.abort, m.tbMissD,
                     m.tbMissI, m.intDispatch, m.machineCheck, m.halted})
-        f.mix(a);
-    return f.h;
+        mix(a);
+    return h;
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 #include "ulint/effects.hh"
 
-#include <cstdio>
+#include "common/json.hh"
 
 namespace upc780::ulint
 {
@@ -412,42 +412,27 @@ EffectMap::allowedCounters(Row r)
 std::string
 EffectMap::toJson(const MicroCfg &cfg) const
 {
-    auto appendf = [](std::string &out, const char *format, auto... args) {
-        char buf[256];
-        snprintf(buf, sizeof(buf), format, args...);
-        out += buf;
-    };
-
-    std::string out = "{\n";
-    appendf(out, "  \"wordsChecked\": %u,\n", img_.allocated);
-    appendf(out, "  \"reachableWords\": %u,\n", cfg.reachableCount());
-    out += "  \"rows\": [";
-    bool first = true;
+    json::Value rows = json::array();
     for (UAddr a = 1; a < img_.allocated; ++a) {
         const WordEffects &w = fx_[a];
-        out += first ? "\n    " : ",\n    ";
-        first = false;
-        appendf(out,
-                "{\"addr\": %u, \"row\": \"%s\", \"class\": \"%s\", "
-                "\"canStall\": %s, \"reachable\": %s, \"counters\": [",
-                unsigned(a),
-                std::string(ucode::rowName(img_.rowOf(a))).c_str(),
-                std::string(cycleClassName(w.cls)).c_str(),
-                w.canStall ? "true" : "false",
-                cfg.reachable(a) ? "true" : "false");
-        bool firstc = true;
-        for (uint32_t e = 0; e < obs::NumEvents; ++e) {
-            if (!(w.counters & (CounterMask(1) << e)))
-                continue;
-            appendf(out, "%s\"%s\"", firstc ? "" : ", ",
-                    std::string(obs::evName(obs::Ev(e))).c_str());
-            firstc = false;
-        }
-        out += "]}";
+        json::Value counters = json::array();
+        for (uint32_t e = 0; e < obs::NumEvents; ++e)
+            if (w.counters & (CounterMask(1) << e))
+                counters.push(std::string(obs::evName(obs::Ev(e))));
+        rows.push(json::Members{
+            {"addr", a},
+            {"row", std::string(ucode::rowName(img_.rowOf(a)))},
+            {"class", std::string(cycleClassName(w.cls))},
+            {"canStall", w.canStall},
+            {"reachable", cfg.reachable(a)},
+            {"counters", std::move(counters)}});
     }
-    out += first ? "]\n" : "\n  ]\n";
-    out += "}\n";
-    return out;
+    return json::Value(json::Members{
+                           {"wordsChecked", int64_t{img_.allocated}},
+                           {"reachableWords",
+                            int64_t{cfg.reachableCount()}},
+                           {"rows", std::move(rows)}})
+        .dumpPretty();
 }
 
 } // namespace upc780::ulint

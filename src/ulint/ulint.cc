@@ -8,6 +8,7 @@
 
 #include "arch/opcodes.hh"
 #include "arch/specifier.hh"
+#include "common/json.hh"
 #include "ucode/decoded.hh"
 #include "ulint/dataflow.hh"
 #include "ulint/effects.hh"
@@ -1083,48 +1084,25 @@ Report::toText() const
 std::string
 Report::toJson() const
 {
-    auto escape = [](const std::string &s) {
-        std::string out;
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                out += '\\';
-            out += c;
-        }
-        return out;
-    };
-    std::string out = "{\n";
-    out += fmt("  \"wordsChecked\": %u,\n", wordsChecked);
-    out += fmt("  \"reachableWords\": %u,\n", reachableWords);
-    out += fmt("  \"clean\": %s,\n", clean() ? "true" : "false");
-    out += "  \"findings\": [";
-    for (size_t i = 0; i < findings.size(); ++i) {
-        const Finding &f = findings[i];
-        out += i ? ",\n    " : "\n    ";
-        out += fmt("{\"rule\": \"%s\", \"severity\": \"%s\", "
-                   "\"addr\": %u, \"row\": \"%s\", \"detail\": \"%s\"}",
-                   f.rule.c_str(),
-                   std::string(severityName(f.severity)).c_str(), f.addr,
-                   std::string(ucode::rowName(f.row)).c_str(),
-                   escape(f.detail).c_str());
-    }
-    out += findings.empty() ? "]\n" : "\n  ]\n";
-    out += "}\n";
-    return out;
+    json::Value list = json::array();
+    for (const Finding &f : findings)
+        list.push(json::Members{
+            {"rule", f.rule},
+            {"severity", std::string(severityName(f.severity))},
+            {"addr", f.addr},
+            {"row", std::string(ucode::rowName(f.row))},
+            {"detail", f.detail}});
+    return json::Value(json::Members{
+                           {"wordsChecked", int64_t{wordsChecked}},
+                           {"reachableWords", int64_t{reachableWords}},
+                           {"clean", clean()},
+                           {"findings", std::move(list)}})
+        .dumpPretty();
 }
 
 std::string
 Report::toSarif() const
 {
-    auto escape = [](const std::string &s) {
-        std::string out;
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                out += '\\';
-            out += c;
-        }
-        return out;
-    };
-
     // The rule table lists each distinct rule once, in first-seen
     // order, as SARIF requires results to reference driver rules.
     std::vector<std::string> rules;
@@ -1135,44 +1113,40 @@ Report::toSarif() const
         rules.push_back(r);
         return rules.size() - 1;
     };
-    std::vector<size_t> index;
-    index.reserve(findings.size());
-    for (const Finding &f : findings)
-        index.push_back(ruleIndex(f.rule));
 
-    std::string out =
-        "{\n"
-        "  \"$schema\": "
-        "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-        "  \"version\": \"2.1.0\",\n"
-        "  \"runs\": [{\n"
-        "    \"tool\": {\"driver\": {\"name\": \"ulint\", "
-        "\"rules\": [";
-    for (size_t i = 0; i < rules.size(); ++i) {
-        out += i ? ", " : "";
-        out += fmt("{\"id\": \"%s\"}", rules[i].c_str());
+    json::Value results = json::array();
+    for (const Finding &f : findings) {
+        const json::Value location = json::Members{
+            {"name", fmt("u0x%04x", f.addr)},
+            {"fullyQualifiedName",
+             fmt("controlstore/u0x%04x[%s]", f.addr,
+                 std::string(ucode::rowName(f.row)).c_str())},
+            {"kind", "instruction"}};
+        results.push(json::Members{
+            {"ruleId", f.rule},
+            {"ruleIndex", uint64_t{ruleIndex(f.rule)}},
+            {"level", f.severity == Severity::Error ? "error" : "warning"},
+            {"message", json::Members{{"text", f.detail}}},
+            {"locations",
+             json::Array{json::Members{
+                 {"logicalLocations", json::Array{location}}}}}});
     }
-    out += "]}},\n";
-    out += "    \"results\": [";
-    for (size_t i = 0; i < findings.size(); ++i) {
-        const Finding &f = findings[i];
-        out += i ? ",\n      " : "\n      ";
-        out += fmt(
-            "{\"ruleId\": \"%s\", \"ruleIndex\": %zu, "
-            "\"level\": \"%s\", "
-            "\"message\": {\"text\": \"%s\"}, "
-            "\"locations\": [{\"logicalLocations\": "
-            "[{\"name\": \"u0x%04x\", \"fullyQualifiedName\": "
-            "\"controlstore/u0x%04x[%s]\", "
-            "\"kind\": \"instruction\"}]}]}",
-            f.rule.c_str(), index[i],
-            f.severity == Severity::Error ? "error" : "warning",
-            escape(f.detail).c_str(), f.addr, f.addr,
-            std::string(ucode::rowName(f.row)).c_str());
-    }
-    out += findings.empty() ? "]\n" : "\n    ]\n";
-    out += "  }]\n}\n";
-    return out;
+    json::Value ruleList = json::array();
+    for (const std::string &r : rules)
+        ruleList.push(json::Members{{"id", r}});
+
+    const json::Value driver = json::Members{
+        {"name", "ulint"}, {"rules", std::move(ruleList)}};
+    return json::Value(
+               json::Members{
+                   {"$schema",
+                    "https://json.schemastore.org/sarif-2.1.0.json"},
+                   {"version", "2.1.0"},
+                   {"runs",
+                    json::Array{json::Members{
+                        {"tool", json::Members{{"driver", driver}}},
+                        {"results", std::move(results)}}}}})
+        .dumpPretty();
 }
 
 } // namespace upc780::ulint

@@ -24,7 +24,7 @@
 #include "common/error.hh"
 #include "svc/cachekey.hh"
 #include "svc/job.hh"
-#include "svc/json.hh"
+#include "common/json.hh"
 #include "svc/sha256.hh"
 #include "ucode/controlstore.hh"
 
@@ -36,7 +36,7 @@ namespace
 std::string
 keyOf(const std::string &requestText)
 {
-    return svc::cacheKey(svc::parseJobSpec(svc::json::parse(requestText)));
+    return svc::cacheKey(svc::parseJobSpec(json::parse(requestText)));
 }
 
 const char *BaseRequest =

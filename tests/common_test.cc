@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -445,4 +446,135 @@ TEST(Crc32, MatchesBitwiseReferenceAtEveryAlignment)
             EXPECT_EQ(crc32(buf.data() + off, len),
                       crc32Bitwise(buf.data() + off, len))
                 << "offset " << off << " length " << len;
+}
+
+TEST(Fnv1a, KnownAnswersAndChaining)
+{
+    auto bytes = [](const char *s) {
+        return std::vector<uint8_t>(s, s + std::strlen(s));
+    };
+    // Pinned to the repository's offset basis, not the published one
+    // (see common/serial.hh): every committed hash depends on it.
+    EXPECT_EQ(fnv1a(bytes("")), Fnv1aOffset);
+    EXPECT_EQ(fnv1a(bytes("a")), 0x44bd8ad473cd9906ull);
+    EXPECT_EQ(fnv1a(bytes("foobar")), 0x88fad7c0a8ff07f2ull);
+    EXPECT_EQ(fnv1a(bytes("bar"), fnv1a(bytes("foo"))),
+              fnv1a(bytes("foobar")));
+}
+
+// ----- JSON codec ------------------------------------------------------
+
+#include <cstdint>
+#include <fstream>
+#include <sstream>
+
+#include "common/json.hh"
+
+#ifndef UPC780_GOLDEN_DIR
+#error "UPC780_GOLDEN_DIR must point at tests/golden"
+#endif
+
+namespace
+{
+
+/** Every kind of value and every string hazard the writer escapes. */
+json::Value
+codecCorpus()
+{
+    return json::Members{
+        {"quote", "say \"hi\""},
+        {"backslash", "C:\\dir\\"},
+        {"whitespace", "line1\nline2\r\t\b\f"},
+        {"control", std::string("\x01\x1f\x00", 3)},
+        {"utf8", "caf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x98\x80"},
+        {"empty_object", json::object()},
+        {"empty_array", json::array()},
+        {"nested",
+         json::Members{
+             {"list", json::Array{1, json::Array{},
+                                  json::Members{{"none", nullptr}}}},
+             {"yes", true},
+             {"no", false}}},
+        {"int64_min", INT64_MIN},
+        {"int64_max", INT64_MAX},
+        {"uint64_max", UINT64_MAX},
+        {"third", 1.0 / 3.0},
+        {"tiny", -2.5e-300},
+        {"avogadro", 6.02214076e23},
+    };
+}
+
+std::string
+nested(size_t depth)
+{
+    return std::string(depth, '[') + std::string(depth, ']');
+}
+
+} // namespace
+
+TEST(Json, BothFormsRoundTripTheCorpus)
+{
+    const json::Value v = codecCorpus();
+    const std::string canonical = v.dump();
+    EXPECT_EQ(json::parse(canonical).dump(), canonical);
+    EXPECT_EQ(json::parse(v.dumpPretty()).dump(), canonical);
+    EXPECT_EQ(json::parse(v.dumpPretty()).dumpPretty(), v.dumpPretty());
+
+    const json::Value back = json::parse(canonical);
+    ASSERT_TRUE(back.find("control"));
+    EXPECT_EQ(back.find("control")->asString(),
+              std::string("\x01\x1f\x00", 3));
+    ASSERT_TRUE(back.find("int64_min"));
+    EXPECT_EQ(back.find("int64_min")->asInt(), INT64_MIN);
+    ASSERT_TRUE(back.find("third"));
+    EXPECT_EQ(back.find("third")->asDouble(), 1.0 / 3.0);
+}
+
+TEST(Json, PrettyFormLayout)
+{
+    const json::Value v = json::Members{{"a", json::Array{1, 2}},
+                                        {"e", json::array()},
+                                        {"o", json::object()},
+                                        {"s", "x"}};
+    EXPECT_EQ(v.dumpPretty(), "{\n"
+                              "  \"a\": [\n"
+                              "    1,\n"
+                              "    2\n"
+                              "  ],\n"
+                              "  \"e\": [],\n"
+                              "  \"o\": {},\n"
+                              "  \"s\": \"x\"\n"
+                              "}\n");
+    EXPECT_EQ(v.dump(), "{\"a\":[1,2],\"e\":[],\"o\":{},\"s\":\"x\"}");
+}
+
+TEST(Json, PrettyFormReproducesACommittedGolden)
+{
+    std::ifstream in(std::string(UPC780_GOLDEN_DIR) + "/table8.json",
+                     std::ios::binary);
+    ASSERT_TRUE(in.good());
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(json::parse(text.str()).dumpPretty(), text.str());
+}
+
+TEST(Json, MalformedInputIsAConfigError)
+{
+    // A raw control character inside a string.
+    EXPECT_THROW(json::parse(std::string("\"a\x01z\"")), ConfigError);
+    EXPECT_THROW(json::parse("\"a\nz\""), ConfigError);
+    // Truncated escapes.
+    EXPECT_THROW(json::parse("\"ab\\"), ConfigError);
+    EXPECT_THROW(json::parse("\"\\u12\""), ConfigError);
+    EXPECT_THROW(json::parse("\"\\ud800\""), ConfigError);
+    // Truncated and trailing documents.
+    for (const char *bad : {"", "{", "{\"a\":", "[1,", "tru", "{} x"})
+        EXPECT_THROW(json::parse(bad), ConfigError) << bad;
+    // Past the depth cap, by default and when given.
+    EXPECT_NO_THROW(json::parse(nested(64)));
+    EXPECT_THROW(json::parse(nested(200)), ConfigError);
+    EXPECT_THROW(json::parse(nested(3), 1), ConfigError);
+    // Past the size cap.
+    EXPECT_NO_THROW(json::parse("[1]", 64, 3));
+    EXPECT_THROW(json::parse("[1] ", 64, 3), ConfigError);
 }

@@ -28,6 +28,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/json.hh"
 #include "sim/engine.hh"
 #include "ucode/controlstore.hh"
 #include "upc/analyzer.hh"
@@ -70,47 +71,6 @@ fmt(uint64_t v)
     return buf;
 }
 
-/** Flat sorted-key JSON object, one "key": "value" pair per line. */
-std::string
-toJson(const Table &t)
-{
-    std::ostringstream os;
-    os << "{\n";
-    size_t i = 0;
-    for (const auto &[k, v] : t) {
-        os << "  \"" << k << "\": \"" << v << "\"";
-        os << (++i < t.size() ? ",\n" : "\n");
-    }
-    os << "}\n";
-    return os.str();
-}
-
-/** Parse the flat string-to-string JSON written by toJson. */
-bool
-fromJson(const std::string &text, Table &out)
-{
-    out.clear();
-    size_t pos = 0;
-    while ((pos = text.find('"', pos)) != std::string::npos) {
-        size_t kend = text.find('"', pos + 1);
-        if (kend == std::string::npos)
-            return false;
-        std::string key = text.substr(pos + 1, kend - pos - 1);
-        size_t colon = text.find(':', kend);
-        if (colon == std::string::npos)
-            return false;
-        size_t vstart = text.find('"', colon);
-        if (vstart == std::string::npos)
-            return false;
-        size_t vend = text.find('"', vstart + 1);
-        if (vend == std::string::npos)
-            return false;
-        out[key] = text.substr(vstart + 1, vend - vstart - 1);
-        pos = vend + 1;
-    }
-    return true;
-}
-
 /**
  * Compare @p current against the golden file (or rewrite it under
  * --update-golden), reporting every drifted cell by name.
@@ -120,9 +80,13 @@ checkGolden(const std::string &file, const Table &current)
 {
     const std::string path = goldenPath(file);
     if (g_update) {
+        // A flat object, keys in sorted order, one cell per line.
+        json::Value doc = json::object();
+        for (const auto &[k, v] : current)
+            doc.set(k, v);
         std::ofstream os(path);
         ASSERT_TRUE(os.good()) << "cannot write " << path;
-        os << toJson(current);
+        os << doc.dumpPretty();
         std::fprintf(stderr, "[golden] updated %s (%zu cells)\n",
                      path.c_str(), current.size());
         return;
@@ -135,7 +99,13 @@ checkGolden(const std::string &file, const Table &current)
     std::stringstream buf;
     buf << is.rdbuf();
     Table golden;
-    ASSERT_TRUE(fromJson(buf.str(), golden)) << "unparsable " << path;
+    try {
+        const json::Value doc = json::parse(buf.str());
+        for (const auto &[k, v] : doc.asObject())
+            golden[k] = v.asString();
+    } catch (const ConfigError &e) {
+        FAIL() << "unparsable " << path << ": " << e.what();
+    }
 
     for (const auto &[k, v] : golden) {
         auto it = current.find(k);

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 
+#include "common/json.hh"
 #include "common/random.hh"
 #include "common/serial.hh"
 #include "obs/hostprof.hh"
@@ -303,13 +305,35 @@ TEST(EventTracer, ChromeJsonExport)
     EventTracer t(8);
     t.emit(Cat::Tb, Code::TbMissD, 10, 0x80001234, 1);
     t.emit(Cat::Irq, Code::IrqDispatch, 20, 0xc0);
-    std::string json = obs::toChromeJson(t.events());
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(json.find("\"tbmiss.d\""), std::string::npos);
-    EXPECT_NE(json.find("\"cat\":\"irq\""), std::string::npos);
+    const std::string text = obs::toChromeJson(t.events());
+    EXPECT_EQ(text.back(), '\n');
+
+    const json::Value doc = json::parse(text);
+    ASSERT_TRUE(doc.find("traceEvents"));
+    const json::Array &events = doc.find("traceEvents")->asArray();
+    ASSERT_EQ(events.size(), 2u);
+    auto field = [](const json::Value &o,
+                    const char *key) -> const json::Value & {
+        const json::Value *v = o.find(key);
+        if (!v)
+            throw std::runtime_error(std::string("no member ") + key);
+        return *v;
+    };
+
+    const json::Value &tb = events[0];
+    EXPECT_EQ(field(tb, "name").asString(), "tbmiss.d");
+    EXPECT_EQ(field(tb, "cat").asString(), "tb");
+    EXPECT_EQ(field(tb, "ph").asString(), "i");
     // 10 cycles x 200 ns = 2 µs.
-    EXPECT_NE(json.find("\"ts\":2.0"), std::string::npos);
-    EXPECT_EQ(json.back(), '\n');
+    EXPECT_EQ(field(tb, "ts").asDouble(), 2.0);
+    EXPECT_EQ(field(field(tb, "args"), "arg0").asUint(), 0x80001234u);
+    EXPECT_EQ(field(field(tb, "args"), "arg1").asUint(), 1u);
+    EXPECT_EQ(field(field(tb, "args"), "cycle").asUint(), 10u);
+
+    const json::Value &irq = events[1];
+    EXPECT_EQ(field(irq, "cat").asString(), "irq");
+    EXPECT_EQ(field(irq, "ts").asDouble(), 4.0);
+    EXPECT_EQ(field(field(irq, "args"), "arg0").asUint(), 0xc0u);
 }
 
 TEST(EventTracerEngine, ParallelStreamsMergeConsistently)

@@ -513,9 +513,9 @@ TEST(SnapMachine, CheckpointSectionBytesPinned)
                 ASSERT_GE(n, host);
                 n -= host;
             }
-            got[tag + name] = snap::fnv1a(b.data(), n);
+            got[tag + name] = fnv1a(b.data(), n);
         }
-        got[tag + "result"] = snap::fnv1a(fingerprint(res));
+        got[tag + "result"] = fnv1a(fingerprint(res));
     }
 
     EXPECT_EQ(got.size(), 5u * 10u);

@@ -29,7 +29,7 @@
 
 #include "svc/clock.hh"
 #include "svc/daemon.hh"
-#include "svc/json.hh"
+#include "common/json.hh"
 
 using namespace upc780;
 namespace fs = std::filesystem;
@@ -68,26 +68,26 @@ runToReply(svc::Daemon &daemon, const std::string &request)
 bool
 replyOk(const std::string &reply)
 {
-    const svc::json::Value v = svc::json::parse(reply);
-    const svc::json::Value *ok = v.find("ok");
+    const json::Value v = json::parse(reply);
+    const json::Value *ok = v.find("ok");
     return ok && ok->isBool() && ok->asBool();
 }
 
 std::string
 errorType(const std::string &reply)
 {
-    const svc::json::Value v = svc::json::parse(reply);
-    const svc::json::Value *err = v.find("error");
+    const json::Value v = json::parse(reply);
+    const json::Value *err = v.find("error");
     if (!err)
         return "";
-    const svc::json::Value *type = err->find("type");
+    const json::Value *type = err->find("type");
     return type ? type->asString() : "";
 }
 
 std::string
-eventType(const svc::json::Value &ev)
+eventType(const json::Value &ev)
 {
-    const svc::json::Value *type = ev.find("event");
+    const json::Value *type = ev.find("event");
     return type ? type->asString() : "";
 }
 
@@ -143,7 +143,7 @@ TEST(Shutdown, DrainPersistsCompletedWorkloadsAndRestartResumes)
         std::condition_variable cv;
         bool parked = false;
         bool released = false;
-        auto observer = [&](const svc::json::Value &ev) {
+        auto observer = [&](const json::Value &ev) {
             if (eventType(ev) != "progress")
                 return;
             std::unique_lock<std::mutex> lock(mu);
@@ -313,7 +313,7 @@ TEST(Shutdown, TenantSchedulingIsRoundRobin)
     std::mutex mu;
     std::vector<std::string> runOrder;
     auto observerFor = [&](std::string tenant) {
-        return [&, tenant](const svc::json::Value &ev) {
+        return [&, tenant](const json::Value &ev) {
             if (eventType(ev) == "run") {
                 std::lock_guard<std::mutex> lock(mu);
                 runOrder.push_back(tenant);

@@ -36,7 +36,7 @@
 #include "svc/cachekey.hh"
 #include "svc/daemon.hh"
 #include "svc/job.hh"
-#include "svc/json.hh"
+#include "common/json.hh"
 #include "ucode/controlstore.hh"
 #include "upc/analyzer.hh"
 #include "upc/report.hh"
@@ -80,19 +80,19 @@ runToReply(svc::Daemon &daemon, const std::string &request)
 bool
 replyOk(const std::string &reply)
 {
-    const svc::json::Value v = svc::json::parse(reply);
-    const svc::json::Value *ok = v.find("ok");
+    const json::Value v = json::parse(reply);
+    const json::Value *ok = v.find("ok");
     return ok && ok->isBool() && ok->asBool();
 }
 
 std::string
 errorType(const std::string &reply)
 {
-    const svc::json::Value v = svc::json::parse(reply);
-    const svc::json::Value *err = v.find("error");
+    const json::Value v = json::parse(reply);
+    const json::Value *err = v.find("error");
     if (!err)
         return "";
-    const svc::json::Value *type = err->find("type");
+    const json::Value *type = err->find("type");
     return type ? type->asString() : "";
 }
 
@@ -128,7 +128,7 @@ TEST(Daemon, CacheHitByteIdenticalAllFivePaperWorkloads)
     }
 
     // All five paper workloads are in the reply, each ok.
-    const svc::json::Value v = svc::json::parse(cold);
+    const json::Value v = json::parse(cold);
     const auto &reps = v.find("replications")->asArray();
     ASSERT_EQ(reps.size(), 1u);
     const auto &workloads = reps[0].find("workloads")->asArray();
@@ -222,14 +222,14 @@ TEST(Daemon, ReportMatchesLocalEngineTables1Through9)
         R"("report":true})";
     const std::string reply = runToReply(daemon, request);
     ASSERT_TRUE(replyOk(reply)) << reply;
-    const svc::json::Value v = svc::json::parse(reply);
-    const svc::json::Value *report = v.find("report");
+    const json::Value v = json::parse(reply);
+    const json::Value *report = v.find("report");
     ASSERT_NE(report, nullptr);
 
     // The same experiment, run directly on the engine the way the CLI
     // does, must render the same Tables 1-9 to the byte.
     const svc::JobSpec spec =
-        svc::parseJobSpec(svc::json::parse(request));
+        svc::parseJobSpec(json::parse(request));
     sim::ParallelEngine engine(svc::toExperimentConfig(spec),
                                sim::EngineConfig{});
     const auto reps =
@@ -283,8 +283,8 @@ TEST(Daemon, MalformedRequestsAreStructuredRejections)
     for (const std::string &request : bad) {
         const std::string reply = daemon.submit(request).wait();
         EXPECT_FALSE(replyOk(reply)) << "accepted: " << request;
-        const svc::json::Value v = svc::json::parse(reply);
-        const svc::json::Value *err = v.find("error");
+        const json::Value v = json::parse(reply);
+        const json::Value *err = v.find("error");
         ASSERT_NE(err, nullptr) << request;
         EXPECT_FALSE(err->find("type")->asString().empty());
         EXPECT_FALSE(err->find("message")->asString().empty());
@@ -472,7 +472,7 @@ TEST(Daemon, ErrorRepliesCarryTheSimErrorType)
     EXPECT_EQ(svc::errorTypeName(LintError("x")), "LintError");
 
     const std::string reply = svc::errorReply("ConfigError", "why \"q\"");
-    const svc::json::Value v = svc::json::parse(reply);
+    const json::Value v = json::parse(reply);
     EXPECT_FALSE(v.find("ok")->asBool());
     EXPECT_EQ(v.find("error")->find("type")->asString(), "ConfigError");
     EXPECT_EQ(v.find("error")->find("message")->asString(),

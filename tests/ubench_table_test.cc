@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/json.hh"
 #include "ubench/table.hh"
 
 namespace
@@ -60,6 +61,26 @@ TEST(UbenchTable, MatchesPinnedGolden)
     EXPECT_EQ(rendered, pinned.str())
         << "per-instruction latency table drifted from the pinned "
            "golden; if intentional, regenerate with --update-golden";
+}
+
+/** A skip reason with a quote and a newline parses back intact. */
+TEST(UbenchTable, JsonEscapesSkipReasons)
+{
+    ubench::LatencyTable t;
+    t.baselineCycles = 7;
+    const std::string reason = "operand \"x\" faulted\nat 0x200";
+    t.skipped.push_back({0x5A, "bogus", reason});
+
+    const json::Value doc = json::parse(ubench::tableToJson(t));
+    ASSERT_TRUE(doc.find("skipped"));
+    const json::Array &skipped = doc.find("skipped")->asArray();
+    ASSERT_EQ(skipped.size(), 1u);
+    ASSERT_TRUE(skipped[0].find("reason"));
+    EXPECT_EQ(skipped[0].find("reason")->asString(), reason);
+    ASSERT_TRUE(skipped[0].find("opcode"));
+    EXPECT_EQ(skipped[0].find("opcode")->asUint(), 0x5Au);
+    ASSERT_TRUE(doc.find("rows"));
+    EXPECT_TRUE(doc.find("rows")->asArray().empty());
 }
 
 /** Structural sanity independent of the pinned values. */

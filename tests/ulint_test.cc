@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <stdexcept>
 
 #include "arch/opcodes.hh"
+#include "common/json.hh"
 #include "ucode/controlstore.hh"
 #include "ulint/cfg.hh"
 #include "ulint/effects.hh"
@@ -35,6 +37,16 @@ copyShipped()
 
 /** Index of the MOVL primary execute entry (a plain one-word routine). */
 constexpr unsigned MovlOpcode = 0xD0;
+
+/** Object member @p key; throws (failing the test) when it is absent. */
+const json::Value &
+member(const json::Value &o, const char *key)
+{
+    const json::Value *v = o.find(key);
+    if (!v)
+        throw std::runtime_error(std::string("no member ") + key);
+    return *v;
+}
 
 } // namespace
 
@@ -421,11 +433,34 @@ TEST(UlintReport, TextAndJsonCarryRuleIds)
 
     Report r = lint(img);
     EXPECT_NE(r.toText().find("UL005"), std::string::npos);
-    EXPECT_NE(r.toJson().find("\"rule\": \"UL005\""), std::string::npos);
-    EXPECT_NE(r.toJson().find("\"clean\": false"), std::string::npos);
+    const json::Value doc = json::parse(r.toJson());
+    EXPECT_FALSE(member(doc, "clean").asBool());
+    size_t ul005 = 0;
+    for (const json::Value &f : member(doc, "findings").asArray())
+        ul005 += member(f, "rule").asString() == "UL005";
+    EXPECT_EQ(ul005, r.countRule("UL005"));
+    EXPECT_GE(ul005, 1u);
 
     Report clean = lint(ucode::microcodeImage());
-    EXPECT_NE(clean.toJson().find("\"clean\": true"), std::string::npos);
+    EXPECT_TRUE(member(json::parse(clean.toJson()), "clean").asBool());
+
+    // A detail with quotes, backslashes and control characters
+    // round-trips through both machine-readable documents.
+    const std::string detail = "a\"b\\c\nd\x01";
+    Report odd;
+    odd.findings.push_back(
+        {"UL999", ulint::Severity::Warning, 0x12, Row::None, detail});
+    const json::Value j = json::parse(odd.toJson());
+    EXPECT_EQ(member(member(j, "findings").asArray().at(0), "detail")
+                  .asString(),
+              detail);
+    const json::Value sarif = json::parse(odd.toSarif());
+    const json::Value &result =
+        member(member(sarif, "runs").asArray().at(0), "results")
+            .asArray()
+            .at(0);
+    EXPECT_EQ(member(member(result, "message"), "text").asString(),
+              detail);
 }
 
 TEST(UlintReport, SarifCarriesRulesAndResults)
@@ -433,14 +468,29 @@ TEST(UlintReport, SarifCarriesRulesAndResults)
     MicrocodeImage img = copyShipped();
     img.ops[img.marks.abort].mem = ucode::Mem::WriteV;
 
-    std::string s = lint(img).toSarif();
-    EXPECT_NE(s.find("\"version\": \"2.1.0\""), std::string::npos);
-    EXPECT_NE(s.find("\"name\": \"ulint\""), std::string::npos);
-    EXPECT_NE(s.find("\"ruleId\": \"UL005\""), std::string::npos);
-    EXPECT_NE(s.find("\"level\": \"error\""), std::string::npos);
+    const json::Value s = json::parse(lint(img).toSarif());
+    EXPECT_EQ(member(s, "version").asString(), "2.1.0");
+    const json::Value &run = member(s, "runs").asArray().at(0);
+    const json::Value &driver = member(member(run, "tool"), "driver");
+    EXPECT_EQ(member(driver, "name").asString(), "ulint");
+    size_t ul005 = 0;
+    for (const json::Value &res : member(run, "results").asArray()) {
+        if (member(res, "ruleId").asString() != "UL005")
+            continue;
+        ++ul005;
+        EXPECT_EQ(member(res, "level").asString(), "error");
+        // ruleIndex points at the driver's entry for the same rule.
+        const json::Value &rule = member(driver, "rules").asArray().at(
+            member(res, "ruleIndex").asUint());
+        EXPECT_EQ(member(rule, "id").asString(), "UL005");
+    }
+    EXPECT_GE(ul005, 1u);
 
-    std::string clean = lint(ucode::microcodeImage()).toSarif();
-    EXPECT_NE(clean.find("\"results\": []"), std::string::npos);
+    const json::Value clean =
+        json::parse(lint(ucode::microcodeImage()).toSarif());
+    EXPECT_TRUE(member(member(clean, "runs").asArray().at(0), "results")
+                    .asArray()
+                    .empty());
 }
 
 TEST(UlintAttribution, ShippedMatrixIsUnambiguous)
@@ -478,15 +528,14 @@ TEST(UlintAttribution, MatrixJsonNamesEveryAllocatedWord)
 {
     const MicrocodeImage &img = ucode::microcodeImage();
     MicroCfg cfg(img);
-    std::string j = ulint::EffectMap(img).toJson(cfg);
+    const json::Value j = json::parse(ulint::EffectMap(img).toJson(cfg));
 
-    EXPECT_NE(j.find("\"rows\""), std::string::npos);
-    EXPECT_NE(j.find("\"class\""), std::string::npos);
-    EXPECT_NE(j.find("\"counters\""), std::string::npos);
-    // One "addr" entry per checked word.
-    size_t entries = 0;
-    for (size_t at = j.find("\"addr\""); at != std::string::npos;
-         at = j.find("\"addr\"", at + 1))
-        ++entries;
-    EXPECT_EQ(entries, size_t(img.allocated) - 1);
+    // One row per checked word, each naming its class and counters.
+    const json::Array &rows = member(j, "rows").asArray();
+    EXPECT_EQ(rows.size(), size_t(img.allocated) - 1);
+    for (const json::Value &row : rows) {
+        EXPECT_TRUE(member(row, "class").isString());
+        EXPECT_TRUE(member(row, "counters").isArray());
+    }
+    EXPECT_EQ(member(rows.at(0), "addr").asUint(), 1u);
 }

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/json.hh"
 #include "ucode/controlstore.hh"
 #include "ucode/decoded.hh"
 #include "ulint/cfg.hh"
@@ -80,23 +81,18 @@ decodedJson(const upc780::ucode::MicrocodeImage &img)
     using namespace upc780;
     std::shared_ptr<const ucode::DecodedImage> dec =
         ucode::decodedImage(img);
-    std::string out = "{\n  \"rows\": [";
-    bool first = true;
+    json::Value rows = json::array();
     for (uint32_t a = 1; a < img.allocated; ++a) {
         const ucode::DecodedRow &r = dec->rows[a];
-        char buf[160];
-        snprintf(buf, sizeof(buf),
-                 "%s\n    {\"addr\": %u, \"handler\": \"%s\", "
-                 "\"memRead\": %s, \"memWrite\": %s, \"runLen\": %u}",
-                 first ? "" : ",", a,
-                 std::string(ucode::hxName(r.h)).c_str(),
-                 r.memRead ? "true" : "false",
-                 r.memWrite ? "true" : "false", unsigned(r.runLen));
-        out += buf;
-        first = false;
+        rows.push(json::Members{
+            {"addr", int64_t{a}},
+            {"handler", std::string(ucode::hxName(r.h))},
+            {"memRead", bool(r.memRead)},
+            {"memWrite", bool(r.memWrite)},
+            {"runLen", int64_t{r.runLen}}});
     }
-    out += "\n  ]\n}\n";
-    return out;
+    return json::Value(json::Members{{"rows", std::move(rows)}})
+        .dumpPretty();
 }
 
 } // namespace

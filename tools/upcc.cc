@@ -22,7 +22,7 @@
 #include <string>
 
 #include "common/error.hh"
-#include "svc/json.hh"
+#include "common/json.hh"
 #include "svc/server.hh"
 
 using namespace upc780;
@@ -90,7 +90,7 @@ main(int argc, char **argv)
             const std::string reply =
                 svc::requestOverSocket(socketPath, "ping");
             std::printf("%s\n", reply.c_str());
-            return svc::json::parse(reply).find("pong") ? 0 : 1;
+            return json::parse(reply).find("pong") ? 0 : 1;
         }
         if (cmd != "submit" && cmd != "fetch")
             return usage(argv[0]);
@@ -100,8 +100,8 @@ main(int argc, char **argv)
         if (cmd == "fetch") {
             // Force fetch mode without trusting the caller's document
             // to have set it: parse, overwrite, re-dump.
-            svc::json::Value req = svc::json::parse(request);
-            svc::json::Value forced = svc::json::object();
+            json::Value req = json::parse(request);
+            json::Value forced = json::object();
             for (const auto &[k, v] : req.asObject())
                 if (k != "cache_only")
                     forced.set(k, v);
@@ -116,8 +116,8 @@ main(int argc, char **argv)
             });
         std::printf("%s\n", reply.c_str());
 
-        const svc::json::Value parsed = svc::json::parse(reply);
-        const svc::json::Value *ok = parsed.find("ok");
+        const json::Value parsed = json::parse(reply);
+        const json::Value *ok = parsed.find("ok");
         return (ok && ok->isBool() && ok->asBool()) ? 0 : 1;
     } catch (const SimError &e) {
         std::fprintf(stderr, "upcc: %s\n", e.what());
