@@ -65,6 +65,16 @@ TranslationBuffer::probe(VAddr va) const
     return e.valid && e.tag == tag;
 }
 
+std::vector<uint32_t>
+TranslationBuffer::validFrames() const
+{
+    std::vector<uint32_t> pfns;
+    for (const Entry &e : entries_)
+        if (e.valid)
+            pfns.push_back(e.pfn);
+    return pfns;
+}
+
 void
 TranslationBuffer::fill(VAddr va, uint32_t pfn)
 {

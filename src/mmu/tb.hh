@@ -60,6 +60,9 @@ class TranslationBuffer
     /** Probe without counting (tests, walker cross-checks). */
     bool probe(VAddr va) const;
 
+    /** The page frames the valid entries translate to (inspection). */
+    std::vector<uint32_t> validFrames() const;
+
     /** Insert a translation (called by the miss microroutine). */
     void fill(VAddr va, uint32_t pfn);
 

@@ -21,15 +21,28 @@ VmsLite::VmsLite(cpu::Vax780 &machine, const OsConfig &config)
 {
     timer_ = std::make_unique<IntervalTimer>(cfg_.timerPeriodCycles);
     terminal_ = std::make_unique<RteTerminal>();
+    Process &idle = procs_.emplace_back();
+    idle.isIdle = true;
+    idle.materialized = true;  // the Null process runs kernel code
+}
+
+int
+VmsLite::addProcess(const ProcessShape &shape, Materializer materialize)
+{
+    if (booted_)
+        sim_throw(ConfigError, "addProcess after boot");
+    Process &p = procs_.emplace_back();
+    p.thinkMean = shape.thinkMeanCycles;
+    p.shape = shape;
+    p.materialize = std::move(materialize);
+    return static_cast<int>(procs_.size()) - 1;
 }
 
 int
 VmsLite::addProcess(ProcessImage image)
 {
-    if (booted_)
-        sim_throw(ConfigError, "addProcess after boot");
-    pendingImages_.push_back(std::move(image));
-    return static_cast<int>(pendingImages_.size());
+    const ProcessShape shape = image;
+    return addProcess(shape, [image = std::move(image)] { return image; });
 }
 
 void
@@ -228,16 +241,15 @@ VmsLite::buildScb()
 }
 
 void
-VmsLite::installProcess(int pid, const ProcessImage *image)
+VmsLite::installProcess(int pid)
 {
-    Process p;
-    p.isIdle = (image == nullptr);
+    Process &p = procs_[static_cast<size_t>(pid)];
+    const ProcessShape *shape = p.isIdle ? nullptr : &p.shape;
     VAddr kbase = vmap::ProcKernelBase +
                   static_cast<uint32_t>(pid) * vmap::ProcKernelStride;
     p.pcbVa = kbase;
     p.kstackTop = kbase + vmap::ProcKernelStride;
     p.quantumLeft = cfg_.quantumTicks;
-    p.thinkMean = image ? image->thinkMeanCycles : 0.0;
 
     PAddr kbase_pa = kbase - vmap::S0Base;
 
@@ -249,13 +261,10 @@ VmsLite::installProcess(int pid, const ProcessImage *image)
     uint32_t p1lr = 0;
     VAddr usp = 0;
 
-    if (image) {
-        // Allocate and map P0 pages, then load the image at VA 0.
-        uint32_t pages = image->p0Pages;
-        uint32_t img_pages = static_cast<uint32_t>(
-            (image->p0Image.size() + PageBytes - 1) / PageBytes);
-        if (img_pages > pages)
-            sim_throw(ConfigError, "process image larger than its P0 region");
+    if (shape) {
+        // Allocate and map P0 pages; the image is loaded into them at
+        // the first pick (materialize()).
+        uint32_t pages = shape->p0Pages;
         p0tbl_pa = tableAlloc_;
         tableAlloc_ += 4 * pages;
         tableAlloc_ = (tableAlloc_ + 63u) & ~63u;
@@ -265,16 +274,14 @@ VmsLite::installProcess(int pid, const ProcessImage *image)
             uint32_t pfn = (procAlloc_ >> PageShift) + vpn;
             physWrite(p0tbl_pa + 4 * vpn, 4, pte::make(pfn));
         }
-        machine_.memsys().memory().load(
-            procAlloc_, image->p0Image.data(),
-            static_cast<uint32_t>(image->p0Image.size()));
+        p.frames = {procAlloc_, pages};
         procAlloc_ += pages * PageBytes;
 
         // The user stack lives at the top of the P1 (control) region,
         // as under VMS. The P1 page table is indexed so that P1BR
         // points at the (virtual) PTE for VPN 0; only the top
         // stack_pages entries exist.
-        const uint32_t stack_pages = image->p1StackPages;
+        const uint32_t stack_pages = shape->p1StackPages;
         const uint32_t first_vpn = (1u << 21) - stack_pages;
         PAddr p1tbl_pa = tableAlloc_;
         tableAlloc_ += 4 * stack_pages;
@@ -290,7 +297,7 @@ VmsLite::installProcess(int pid, const ProcessImage *image)
         p1lr = first_vpn;
 
         p0lr = pages;
-        entry = image->entry;
+        entry = 0;  // patched by materialize()
         usp = 0x80000000u;  // top of P1; first push at 0x7FFFFFFC
         user_psl = 3u << psl::CurModeShift;  // user mode, IPL 0
     } else {
@@ -312,13 +319,41 @@ VmsLite::installProcess(int pid, const ProcessImage *image)
     physWrite(pcb_pa + 4 * pcb::Pc, 4, schedResumeVa_);
     physWrite(pcb_pa + 4 * pcb::Psl, 4, 3u << psl::IplShift);
     physWrite(pcb_pa + 4 * pcb::P0br, 4,
-              image ? vmap::sysVa(p0tbl_pa) : 0);
+              shape ? vmap::sysVa(p0tbl_pa) : 0);
     physWrite(pcb_pa + 4 * pcb::P0lr, 4, p0lr);
     physWrite(pcb_pa + 4 * pcb::P1br, 4, p1br);
     physWrite(pcb_pa + 4 * pcb::P1lr, 4, p1lr);
     physWrite(pcb_pa + 4 * pcb::Usp, 4, usp);
+}
 
-    procs_.push_back(p);
+void
+VmsLite::materialize(int pid)
+{
+    Process &p = procs_[static_cast<size_t>(pid)];
+    const ProcessShape &want = p.shape;
+    const ProcessImage image = p.materialize();
+    if (image.p0Pages != want.p0Pages ||
+        image.p1StackPages != want.p1StackPages ||
+        image.thinkMeanCycles != want.thinkMeanCycles) {
+        sim_throw(ConfigError,
+                  "pid %d: image shape (%u P0 pages, %u P1 pages, think "
+                  "%g) differs from its registered shape (%u, %u, %g)",
+                  pid, image.p0Pages, image.p1StackPages,
+                  image.thinkMeanCycles, want.p0Pages, want.p1StackPages,
+                  want.thinkMeanCycles);
+    }
+    if (image.p0Image.size() > uint64_t{want.p0Pages} * PageBytes)
+        sim_throw(ConfigError, "process image larger than its P0 region");
+
+    // The cache holds tags only (memory is always current) and nothing
+    // has referenced these frames yet, so a direct load here changes
+    // no timing state. The kernel-stack frame seeded at boot is first
+    // popped after this pick.
+    machine_.memsys().memory().load(
+        p.frames.base, image.p0Image.data(),
+        static_cast<uint32_t>(image.p0Image.size()));
+    physWrite(p.kstackTop - 8 - vmap::S0Base, 4, image.entry);
+    p.materialized = true;
 }
 
 void
@@ -326,7 +361,7 @@ VmsLite::boot()
 {
     if (booted_)
         sim_throw(ConfigError, "double boot");
-    if (pendingImages_.empty())
+    if (procs_.size() < 2)
         sim_throw(ConfigError, "boot with no processes");
     booted_ = true;
 
@@ -334,9 +369,8 @@ VmsLite::boot()
     buildKernelCode();
     buildScb();
 
-    installProcess(0, nullptr);  // the Null process
-    for (size_t i = 0; i < pendingImages_.size(); ++i)
-        installProcess(static_cast<int>(i) + 1, &pendingImages_[i]);
+    for (size_t pid = 0; pid < procs_.size(); ++pid)
+        installProcess(static_cast<int>(pid));
 
     machine_.addDevice(timer_.get());
     machine_.addDevice(terminal_.get());
@@ -427,6 +461,9 @@ VmsLite::pickNext(cpu::Ebox &ebox, bool first)
             break;
         }
     }
+
+    if (!procs_[next].materialized)
+        materialize(next);
 
     current_ = next;
     procs_[next].quantumLeft = cfg_.quantumTicks;
@@ -561,6 +598,24 @@ VmsLite::liveUserProcesses() const
     return n;
 }
 
+std::vector<int>
+VmsLite::materializedPids() const
+{
+    std::vector<int> pids;
+    for (size_t i = 1; i < procs_.size(); ++i)
+        if (procs_[i].materialized)
+            pids.push_back(static_cast<int>(i));
+    return pids;
+}
+
+VmsLite::Frames
+VmsLite::p0Frames(int pid) const
+{
+    if (pid < 1 || static_cast<size_t>(pid) >= procs_.size())
+        sim_throw(ConfigError, "no user process %d", pid);
+    return procs_[static_cast<size_t>(pid)].frames;
+}
+
 // --------------------------------------------------------------------------
 // Checkpointing
 // --------------------------------------------------------------------------
@@ -622,6 +677,7 @@ VmsLite::walk(Self &s, Ar &ar)
         ar.enum8(p.state, Process::State::Terminated,
                  "kernel process state");
         ar.b(p.isIdle);
+        ar.b(p.materialized);
         ar.u32(p.pcbVa);
         ar.u32(p.kstackTop);
         ar.u32(p.quantumLeft);

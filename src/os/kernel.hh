@@ -40,15 +40,29 @@ struct OsConfig
     uint64_t seed = 0x05;
 };
 
-/** A process to load: its P0 image plus behavioural parameters. */
-struct ProcessImage
+/**
+ * What boot() needs of a process before its image exists: the frames
+ * to map and the think time its terminal user takes.
+ */
+struct ProcessShape
 {
-    std::vector<uint8_t> p0Image;  //!< loaded at P0 VA 0
-    arch::VAddr entry = 0;
     uint32_t p0Pages = 64;         //!< total mapped P0 pages
     uint32_t p1StackPages = 8;     //!< user stack pages at top of P1
     double thinkMeanCycles = 150000;  //!< terminal think time
 };
+
+/** A process to load: its shape plus the P0 image and entry point. */
+struct ProcessImage : ProcessShape
+{
+    std::vector<uint8_t> p0Image;  //!< loaded at P0 VA 0
+    arch::VAddr entry = 0;
+};
+
+/**
+ * Produces a process's image. VmsLite calls it at the process's first
+ * dispatch, the way VMS activates an image when it first runs.
+ */
+using Materializer = std::function<ProcessImage()>;
 
 /** Kernel statistics (cross-checks for Table 7). */
 struct OsStats
@@ -132,7 +146,15 @@ class VmsLite
   public:
     VmsLite(cpu::Vax780 &machine, const OsConfig &config = OsConfig{});
 
-    /** Register a process before boot(); returns its pid (>= 1). */
+    /**
+     * Register a process before boot(); returns its pid (>= 1).
+     * boot() maps frames for @p shape; @p materialize runs when the
+     * pid is first picked, and its image is loaded into those frames.
+     * An image whose shape differs from @p shape is a ConfigError.
+     */
+    int addProcess(const ProcessShape &shape, Materializer materialize);
+
+    /** Register a ready-made image (it is still loaded at first pick). */
     int addProcess(ProcessImage image);
 
     /**
@@ -164,13 +186,28 @@ class VmsLite
     /** User processes not yet killed by an uncorrectable fault. */
     size_t liveUserProcesses() const;
 
+    /** User pids whose image has been loaded, ascending. */
+    std::vector<int> materializedPids() const;
+
+    /** The physical frames boot() reserved for a pid's P0 image. */
+    struct Frames
+    {
+        arch::PAddr base = 0;
+        uint32_t pages = 0;
+    };
+    Frames p0Frames(int pid) const;
+
     /**
      * Checkpoint the kernel's mutable state: scheduler, process
-     * states, statistics, error log, RNG and both devices. The kernel
-     * code, SCB, label addresses and per-process memory layout are
-     * rebuilt identically by boot() and are not serialized; both sides
-     * of a save/restore must therefore be booted with the same
-     * processes, which the config hash guarantees.
+     * states and which of them are materialized, statistics, error
+     * log, RNG and both devices. The kernel code, SCB, label addresses
+     * and the frame and page-table layout are rebuilt identically by
+     * boot() from the process shapes and are not serialized; both
+     * sides of a save/restore must therefore be booted with the same
+     * processes, which the config hash guarantees. A materialized
+     * process's image lives in the machine's memory section (and may
+     * have been written since); it is never generated again after a
+     * restore. The others materialize at their first pick.
      */
     void serialize(ByteWriter &w) const;
     void deserialize(ByteReader &r);
@@ -185,16 +222,26 @@ class VmsLite
         enum class State : uint8_t { Runnable, Blocked, Terminated };
         State state = State::Runnable;
         bool isIdle = false;
+        bool materialized = false;  //!< image loaded (idle: always)
         arch::VAddr pcbVa = 0;
         arch::VAddr kstackTop = 0;
         uint32_t quantumLeft = 0;
         double thinkMean = 0;
+
+        // Registration; boot() derives the layout from it, so none of
+        // it is checkpointed.
+        ProcessShape shape;
+        Materializer materialize;
+        Frames frames;  //!< set by installProcess
     };
 
     void buildSystemMap();
     void buildKernelCode();
     void buildScb();
-    void installProcess(int pid, const ProcessImage *image);
+    /** Map frames, page tables, PCB and kernel stack for @p pid. */
+    void installProcess(int pid);
+    /** Generate, check and load @p pid's image; patch its entry PC. */
+    void materialize(int pid);
 
     /** Direct physical write helper for pre-boot setup. */
     void physWrite(arch::PAddr pa, uint32_t n, uint64_t v);
@@ -214,7 +261,6 @@ class VmsLite
     upc780::Rng rng_;
 
     std::vector<Process> procs_;  //!< index 0 is the Null process
-    std::vector<ProcessImage> pendingImages_;
     int current_ = 0;
     unsigned rr_ = 1;  //!< round-robin pointer
 

@@ -287,8 +287,14 @@ WorkloadRun::WorkloadRun(const ExperimentConfig &cfg,
         machine_->attachFaultInjector(injector_.get());
     }
 
-    for (os::ProcessImage &image : wkl::buildWorkload(profile_))
-        vms_->addProcess(std::move(image));
+    // Each program is generated at its process's first dispatch, not
+    // here: a short run picks only a few of the users.
+    const os::ProcessShape shape = wkl::programShape(profile_);
+    for (uint32_t u = 0; u < profile_.users; ++u) {
+        vms_->addProcess(shape, [this, u] {
+            return wkl::generateProgram(profile_, u);
+        });
+    }
 
     machine_->attachProbe(&monitor_);
 

@@ -100,6 +100,9 @@ class WorkloadRun
     uint64_t configHash() const { return configHash_; }
     const std::string &taskId() const { return taskId_; }
 
+    /** The run's kernel, for inspection. */
+    const os::VmsLite &kernel() const { return *vms_; }
+
     /** Cycle of the newest checkpoint written or restored;
      *  Watchdog::NoCheckpoint if none. */
     uint64_t lastCheckpointCycle() const { return lastCheckpoint_; }

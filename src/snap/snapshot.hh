@@ -49,8 +49,12 @@
 namespace upc780::snap
 {
 
-/** Current container format revision. */
-constexpr uint32_t FormatVersion = 2;
+/**
+ * Current container format revision. 3: the kernel section records
+ * which processes are materialized, and memory holds only their
+ * images.
+ */
+constexpr uint32_t FormatVersion = 3;
 
 /** The 8-byte file magic. */
 constexpr char Magic[8] = {'U', 'P', 'C', '7', '8', '0', 'S', 'N'};

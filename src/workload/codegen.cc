@@ -760,14 +760,29 @@ ProgramGenerator::generate()
         sim_throw(ConfigError, "generated program too large (%zu bytes)", code.size());
 
     // ----- assemble the image ---------------------------------------------------
-    os::ProcessImage img;
-    img.p0Image.assign(d_.base + d_.bytes, 0);
-    std::copy(code.begin(), code.end(), img.p0Image.begin());
-    initData(img.p0Image.data());
-    img.entry = entry;
-    img.p0Pages = (d_.base + d_.bytes) / mmu::PageBytes + StackPages;
-    img.thinkMeanCycles = profile_.thinkMeanCycles;
-    return img;
+    std::vector<uint8_t> p0(d_.base + d_.bytes, 0);
+    std::copy(code.begin(), code.end(), p0.begin());
+    initData(p0.data());
+    return os::ProcessImage{programShape(profile_), std::move(p0), entry};
+}
+
+os::ProcessShape
+programShape(const WorkloadProfile &p)
+{
+    // generate() lays out code at VA 0, data from CodeBytes on, and
+    // leaves StackPages of P0 above the data.
+    os::ProcessShape s;
+    s.p0Pages = ProgramGenerator::CodeBytes / mmu::PageBytes +
+                p.dataPages + ProgramGenerator::StackPages;
+    s.thinkMeanCycles = p.thinkMeanCycles;
+    return s;
+}
+
+os::ProcessImage
+generateProgram(const WorkloadProfile &p, uint32_t user)
+{
+    return ProgramGenerator(p, p.seed * 0x9E3779B9ull + user * 1337u + 1)
+        .generate();
 }
 
 std::vector<os::ProcessImage>
@@ -775,10 +790,8 @@ buildWorkload(const WorkloadProfile &p)
 {
     std::vector<os::ProcessImage> images;
     images.reserve(p.users);
-    for (uint32_t u = 0; u < p.users; ++u) {
-        ProgramGenerator gen(p, p.seed * 0x9E3779B9ull + u * 1337u + 1);
-        images.push_back(gen.generate());
-    }
+    for (uint32_t u = 0; u < p.users; ++u)
+        images.push_back(generateProgram(p, u));
     return images;
 }
 

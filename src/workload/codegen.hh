@@ -30,6 +30,8 @@ class ProgramGenerator
     os::ProcessImage generate();
 
   private:
+    friend os::ProcessShape programShape(const WorkloadProfile &p);
+
     // P0 layout of generated programs.
     static constexpr uint32_t CodeBytes = 24576;  //!< pages 0-47
     static constexpr uint32_t StackPages = 8;
@@ -105,6 +107,15 @@ class ProgramGenerator
     std::vector<arch::Label> callTargets_;  //!< CALLS entry points
     std::vector<arch::Label> jsbTargets_;   //!< JSB entry points
 };
+
+/**
+ * The shape every program of @p p has: known without generating any,
+ * so a kernel can map a process's frames before its image exists.
+ */
+os::ProcessShape programShape(const WorkloadProfile &p);
+
+/** Generate user @p user's program (0-based) of workload @p p. */
+os::ProcessImage generateProgram(const WorkloadProfile &p, uint32_t user);
 
 /** Build the full process set for one workload. */
 std::vector<os::ProcessImage> buildWorkload(const WorkloadProfile &p);

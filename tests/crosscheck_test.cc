@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <set>
 
 #include "arch/decoder.hh"
 #include "counting.hh"
@@ -208,4 +209,56 @@ TEST(CrossCheck, ReadsSeenByCacheMatchHistogram)
     double per_instr_upc = an.refsTotal().reads;
     EXPECT_GE(per_instr_hw, per_instr_upc * 0.95);
     EXPECT_LT(per_instr_hw, per_instr_upc * 1.6);
+}
+
+TEST(CrossCheck, UnpickedProcessesAreUntouched)
+{
+    // Images are generated and loaded at a process's first dispatch.
+    // That is only invisible if nothing references a process before
+    // then: no byte of its P0 frames, no cache tag and no TB entry.
+    for (const wkl::WorkloadProfile &profile : wkl::paperWorkloads()) {
+        SCOPED_TRACE(profile.name);
+        cpu::Vax780 machine;
+        os::VmsLite vms(machine);
+        const os::ProcessShape shape = wkl::programShape(profile);
+        for (uint32_t u = 0; u < profile.users; ++u) {
+            vms.addProcess(shape, [&profile, u] {
+                return wkl::generateProgram(profile, u);
+            });
+        }
+        std::set<int> picked;
+        vms.setSwitchHook([&](int pid, bool is_idle) {
+            if (!is_idle)
+                picked.insert(pid);
+        });
+        vms.boot();
+        while (machine.ebox().instructions() < 6000)
+            machine.run(1000);
+
+        const std::vector<int> done = vms.materializedPids();
+        EXPECT_EQ(std::set<int>(done.begin(), done.end()), picked);
+        ASSERT_LT(picked.size(), profile.users)
+            << "every process ran; the check below would be vacuous";
+
+        const mem::PhysicalMemory &memory = machine.memsys().memory();
+        const mem::Cache &cache = machine.memsys().cache();
+        const std::vector<uint32_t> tbFrames = machine.tb().validFrames();
+        const uint32_t block = cache.config().blockBytes;
+        for (int pid = 1; pid <= static_cast<int>(profile.users); ++pid) {
+            if (picked.count(pid))
+                continue;
+            const os::VmsLite::Frames f = vms.p0Frames(pid);
+            const uint32_t bytes = f.pages * mmu::PageBytes;
+            for (uint32_t off = 0; off < bytes; off += 8)
+                ASSERT_EQ(memory.read(f.base + off, 8), 0u)
+                    << "pid " << pid << " frame byte " << off;
+            for (uint32_t off = 0; off < bytes; off += block)
+                ASSERT_FALSE(cache.probe(f.base + off))
+                    << "pid " << pid << " cached at byte " << off;
+            const uint32_t first = f.base >> mmu::PageShift;
+            for (uint32_t pfn : tbFrames)
+                ASSERT_FALSE(pfn >= first && pfn < first + f.pages)
+                    << "pid " << pid << " has a TB entry for frame " << pfn;
+        }
+    }
 }

@@ -277,3 +277,69 @@ TEST(Os, UserStackLivesInP1)
     ASSERT_TRUE(pa.has_value());
     EXPECT_GE(*pa, pmap::ProcRegion);
 }
+
+TEST(Os, ImageMaterializesOnceAtFirstPick)
+{
+    // boot() maps frames from the shape alone; the materializer runs
+    // when the pid is first dispatched, and only then.
+    cpu::Vax780 machine;
+    OsConfig cfg;
+    cfg.timerPeriodCycles = 2000;
+    cfg.quantumTicks = 1;
+    VmsLite vms(machine, cfg);
+    const ProcessImage proto = counterProcess(0);
+    int calls[2] = {0, 0};
+    for (int i = 0; i < 2; ++i) {
+        vms.addProcess(proto, [&calls, i] {
+            ++calls[i];
+            return counterProcess(0x100u + static_cast<uint32_t>(i));
+        });
+    }
+    vms.boot();
+    EXPECT_EQ(calls[0], 0);
+    EXPECT_EQ(calls[1], 0);
+    EXPECT_TRUE(vms.materializedPids().empty());
+    const VmsLite::Frames f2 = vms.p0Frames(2);
+    EXPECT_EQ(f2.pages, proto.p0Pages);
+    EXPECT_EQ(machine.memsys().memory().read(f2.base + 0x2004, 4), 0u);
+
+    machine.run(400000);
+    EXPECT_EQ(calls[0], 1);
+    EXPECT_EQ(calls[1], 1);
+    EXPECT_EQ(vms.materializedPids(), (std::vector<int>{1, 2}));
+    EXPECT_EQ(machine.memsys().memory().read(f2.base + 0x2004, 4), 0x101u);
+}
+
+TEST(Os, MisshapenImageIsRefusedAtFirstPick)
+{
+    // An image that does not fit the shape its frames were mapped for
+    // must stop the run at its first pick, with nothing loaded.
+    using Warp = void (*)(ProcessImage &);
+    const std::pair<const char *, Warp> warps[] = {
+        {"P0 pages", [](ProcessImage &img) { ++img.p0Pages; }},
+        {"P1 pages", [](ProcessImage &img) { ++img.p1StackPages; }},
+        {"think time", [](ProcessImage &img) { img.thinkMeanCycles *= 2; }},
+        {"image size",
+         [](ProcessImage &img) {
+             img.p0Image.resize(size_t{img.p0Pages} * 512 + 1, 0);
+         }},
+    };
+    for (const auto &[what, warp] : warps) {
+        SCOPED_TRACE(what);
+        cpu::Vax780 machine;
+        VmsLite vms(machine);
+        const ProcessImage proto = counterProcess(0);
+        vms.addProcess(proto, [warp] {
+            ProcessImage img = counterProcess(0xBAD);
+            warp(img);
+            return img;
+        });
+        vms.boot();
+        EXPECT_THROW(machine.run(50000), upc780::ConfigError);
+        EXPECT_TRUE(vms.materializedPids().empty());
+        const VmsLite::Frames f = vms.p0Frames(1);
+        for (uint32_t off = 0; off < f.pages * 512; off += 8)
+            ASSERT_EQ(machine.memsys().memory().read(f.base + off, 8), 0u)
+                << "frame byte " << off;
+    }
+}

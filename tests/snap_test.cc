@@ -16,12 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -434,15 +436,18 @@ TEST(SnapMachine, CheckpointSectionBytesPinned)
     // byte-identical. Values recorded from the hand-written
     // serializers, except "machine" and "counters", re-recorded when
     // the component counters moved into the registry (FormatVersion
-    // 2); the runner's trailing host-time words and the result's host
-    // profile are wall-clock and left out.
+    // 2), and "kernel" and "machine", re-recorded when images moved
+    // to first dispatch (FormatVersion 3): the kernel section gained
+    // each process's materialized bit, and memory holds only the
+    // images that have run. The runner's trailing host-time words and
+    // the result's host profile are wall-clock and left out.
     // Keys are "w<index in paperWorkloads()>/<section>".
     static const std::map<std::string, uint64_t> pinned = {
         {"w0/counters", 0x47b097cfc23f7026ull},
         {"w0/injector", 0x1d7ff6199cadc13eull},
         {"w0/instr", 0xe0db8af95365f9f2ull},
-        {"w0/kernel", 0x9dd9e2d71b2bdba3ull},
-        {"w0/machine", 0xd1bb0b685b7fa44aull},
+        {"w0/kernel", 0x878c16ec9eefbb31ull},
+        {"w0/machine", 0x1210429f6cf50a28ull},
         {"w0/monitor", 0xb3d9a743edf93dedull},
         {"w0/result", 0x405ae2e64ac3501eull},
         {"w0/runner", 0x8ec83ef6cdeae6a7ull},
@@ -451,8 +456,8 @@ TEST(SnapMachine, CheckpointSectionBytesPinned)
         {"w1/counters", 0xf6961865ee455363ull},
         {"w1/injector", 0x8d487d67a8ff3b70ull},
         {"w1/instr", 0xedf1de58b390c677ull},
-        {"w1/kernel", 0x2a273cec4b42fbaeull},
-        {"w1/machine", 0x075e3959dd8784f7ull},
+        {"w1/kernel", 0xc25bfaf097477bb4ull},
+        {"w1/machine", 0x8bf01a66fdd4b5a4ull},
         {"w1/monitor", 0x4c04c8c63362ea28ull},
         {"w1/result", 0x516bdc31e6dc97cfull},
         {"w1/runner", 0x4d912a27687353dcull},
@@ -461,8 +466,8 @@ TEST(SnapMachine, CheckpointSectionBytesPinned)
         {"w2/counters", 0x4cb2285c0e066c89ull},
         {"w2/injector", 0x40d93c59a3e9a969ull},
         {"w2/instr", 0x58e52b73e38e3391ull},
-        {"w2/kernel", 0x84633b6de4242c8aull},
-        {"w2/machine", 0xafa6fdd9b1607c4bull},
+        {"w2/kernel", 0xb7f708c6141353e0ull},
+        {"w2/machine", 0x72088344ffc24cf0ull},
         {"w2/monitor", 0x598a17d48557e4b4ull},
         {"w2/result", 0xdf354fe4d765618eull},
         {"w2/runner", 0x980b185a65a720adull},
@@ -471,8 +476,8 @@ TEST(SnapMachine, CheckpointSectionBytesPinned)
         {"w3/counters", 0xc4885dec3a0aca1eull},
         {"w3/injector", 0xa80585ce76879494ull},
         {"w3/instr", 0x3038cec018b22b87ull},
-        {"w3/kernel", 0xfc20be633d10b5ccull},
-        {"w3/machine", 0xaf212e870ae758fbull},
+        {"w3/kernel", 0xbbd3c2e17c5abbd2ull},
+        {"w3/machine", 0xf462e84125393804ull},
         {"w3/monitor", 0xf73e9b1ee58b752bull},
         {"w3/result", 0x67b478d7475bd16bull},
         {"w3/runner", 0x04872c2214968711ull},
@@ -481,8 +486,8 @@ TEST(SnapMachine, CheckpointSectionBytesPinned)
         {"w4/counters", 0x91865b9c8e74ac28ull},
         {"w4/injector", 0x4b390614712fd79cull},
         {"w4/instr", 0x6f1afda6593b069full},
-        {"w4/kernel", 0x372ce1f6a0567b1cull},
-        {"w4/machine", 0x1e7e9fee7b342841ull},
+        {"w4/kernel", 0x140ef4ea787f8d84ull},
+        {"w4/machine", 0x5b9cadde04089e95ull},
         {"w4/monitor", 0x33583b7448bb53deull},
         {"w4/result", 0x797d1bdde3798321ull},
         {"w4/runner", 0xd72d692e67d717f8ull},
@@ -994,5 +999,85 @@ TEST(SnapReplay, FaultSweepIsDeterministic)
         EXPECT_EQ(oa.cycles, ob.cycles);
         // The fault actually landed and was survived.
         EXPECT_GE(oa.machineChecks, 1u);
+    }
+}
+
+TEST(SnapResume, RestoreAcrossFirstDispatch)
+{
+    // A process's image is generated at its first dispatch. A
+    // checkpoint taken before pid k's first pick must leave k to be
+    // generated after the resume; one taken after k has run holds k's
+    // frames as k left them, which the resume must not generate anew.
+    const fs::path dir = scratchDir("snap_first_dispatch");
+    const auto profile = wkl::timesharing1Profile();
+    sim::ExperimentConfig cfg = smallConfig();
+    cfg.instructionsPerWorkload = 20000;
+    cfg.obs.traceDepth = 1 << 14;
+    cfg.obs.traceMask = static_cast<uint32_t>(obs::Cat::Os);
+    const sim::WorkloadResult whole = sim::WorkloadRun(cfg, profile).run();
+    const auto want = fingerprint(whole);
+
+    // Every dispatch as (cycle, pid): boot picks pid 1, the trace
+    // records the rest.
+    std::vector<std::pair<uint64_t, int>> picks = {{0, 1}};
+    for (const obs::TraceEvent &e : whole.trace) {
+        if (e.cat == static_cast<uint32_t>(obs::Cat::Os) &&
+            e.code == static_cast<uint16_t>(obs::Code::CtxSwitch))
+            picks.emplace_back(e.ts, static_cast<int>(e.arg0));
+    }
+    std::sort(picks.begin(), picks.end());
+    auto pickedBy = [&](uint64_t cycle) {
+        std::set<int> s;
+        for (const auto &[ts, pid] : picks)
+            if (ts < cycle && pid != 0)
+                s.insert(pid);
+        return std::vector<int>(s.begin(), s.end());
+    };
+
+    // Pid k: the first user process after pid 1 to be picked, and a
+    // checkpoint on either side of its first pick.
+    size_t i = 1;
+    while (i + 1 < picks.size() && picks[i].second <= 1)
+        ++i;
+    ASSERT_LT(i + 1, picks.size()) << "no second user process ran";
+    const int k = picks[i].second;
+    const uint64_t beforeK = (picks[i - 1].first + picks[i].first) / 2;
+    const uint64_t afterK = (picks[i].first + picks[i + 1].first) / 2;
+
+    sim::ExperimentConfig saving = cfg;
+    saving.checkpoint.dir = dir.string();
+    saving.checkpoint.atCycles = {beforeK, afterK};
+    sim::WorkloadRun saver(saving, profile);
+    ASSERT_EQ(fingerprint(saver.run()), want);
+
+    for (const uint64_t cycle : {beforeK, afterK}) {
+        SCOPED_TRACE("checkpoint at cycle " + std::to_string(cycle));
+        const std::string path =
+            snap::checkpointPath(saving.checkpoint.dir, saver.taskId(), cycle);
+        ASSERT_TRUE(fs::exists(path));
+        sim::WorkloadRun resumed(cfg, profile);
+        resumed.restore(path);
+        const std::vector<int> set = resumed.kernel().materializedPids();
+        EXPECT_EQ(set, pickedBy(cycle));
+        const bool hasK = std::binary_search(set.begin(), set.end(), k);
+        EXPECT_EQ(hasK, cycle == afterK);
+
+        if (cycle == afterK) {
+            // Pid k has written its data since its image was loaded,
+            // so generating it again would change the run.
+            cpu::Vax780 machine(cfg.machine);
+            const auto file = snap::SnapshotReader::fromFile(path);
+            ByteReader r = file.open("machine");
+            machine.deserialize(r);
+            const os::ProcessImage image =
+                wkl::generateProgram(profile, static_cast<uint32_t>(k - 1));
+            const os::VmsLite::Frames f = resumed.kernel().p0Frames(k);
+            std::vector<uint8_t> frames(image.p0Image.size());
+            for (size_t b = 0; b < frames.size(); ++b)
+                frames[b] = machine.memsys().memory().readByte(
+                    f.base + static_cast<uint32_t>(b));
+            EXPECT_NE(frames, image.p0Image);
+        }
+        EXPECT_EQ(fingerprint(resumed.run()), want);
     }
 }

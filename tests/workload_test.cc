@@ -10,6 +10,7 @@
 #include <set>
 
 #include "arch/decoder.hh"
+#include "mmu/pagetable.hh"
 #include "workload/codegen.hh"
 #include "workload/profile.hh"
 
@@ -239,6 +240,40 @@ TEST(Generator, GoldenImageHashes)
             EXPECT_EQ(workloadHash(wkl::buildWorkload(p)),
                       golden[i][stream])
                 << p.name << ", seed stream " << stream;
+        }
+    }
+}
+
+TEST(Generator, ShapeIsEveryImagesShape)
+{
+    // A kernel maps a process's frames from programShape() at boot and
+    // loads the generated image at the first dispatch: for every user
+    // of every profile the two must agree, and generating one program
+    // alone must give the bytes buildWorkload gives.
+    std::vector<wkl::WorkloadProfile> profiles = wkl::paperWorkloads();
+    profiles.push_back(wkl::burstyNetworkProfile());
+    for (const wkl::WorkloadProfile &base : profiles) {
+        for (uint64_t stream = 0; stream < 3; ++stream) {
+            wkl::WorkloadProfile p = base;
+            p.seed = deriveSeed(base.seed, stream);
+            SCOPED_TRACE(p.name + ", seed stream " + std::to_string(stream));
+            const os::ProcessShape shape = wkl::programShape(p);
+            const std::vector<os::ProcessImage> all = wkl::buildWorkload(p);
+            ASSERT_EQ(all.size(), p.users);
+            for (uint32_t u = 0; u < p.users; ++u) {
+                const os::ProcessImage img = wkl::generateProgram(p, u);
+                EXPECT_EQ(img.p0Pages, shape.p0Pages) << "user " << u;
+                EXPECT_EQ(img.p1StackPages, shape.p1StackPages)
+                    << "user " << u;
+                EXPECT_EQ(img.thinkMeanCycles, shape.thinkMeanCycles)
+                    << "user " << u;
+                EXPECT_LE(img.p0Image.size(),
+                          size_t{shape.p0Pages} * mmu::PageBytes)
+                    << "user " << u;
+                EXPECT_EQ(img.p0Image, all[u].p0Image) << "user " << u;
+                EXPECT_EQ(img.entry, all[u].entry) << "user " << u;
+                EXPECT_EQ(img.p0Pages, all[u].p0Pages) << "user " << u;
+            }
         }
     }
 }
