@@ -16,7 +16,10 @@
  * per workload — target < 1% on a clean image), and the snapshot
  * layer: the same single workload with and without periodic
  * checkpoints (which must not perturb the histogram), plus the
- * wall-clock of restoring the newest checkpoint.
+ * wall-clock of restoring the newest checkpoint. Each of these
+ * overhead figures is the median of OverheadReps alternating off/on
+ * repetitions, so one noisy run on a shared host cannot pass for an
+ * overhead.
  *
  * Environment knobs (shared with the table benches):
  *   UPC780_INSTR   - measured instructions per workload (default 40k)
@@ -82,6 +85,17 @@ now()
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+}
+
+/** Repetitions behind each overhead figure (alternating off/on). */
+constexpr int OverheadReps = 5;
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const size_t n = v.size();
+    return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 } // namespace
@@ -150,14 +164,20 @@ main()
     audit_on.auditAttribution = true;
     sim::ExperimentConfig audit_off = cfg;
     audit_off.auditAttribution = false;
-    sim::CompositeResult caon, caoff;
-    const double wall_audit_off = runOnce(audit_off, 1, caoff);
-    const double wall_audit_on = runOnce(audit_on, 1, caon);
-    const bool audit_same = caon.histogram == caoff.histogram;
+    std::vector<double> audit_off_s, audit_on_s;
+    bool audit_same = true;
+    for (int rep = 0; rep < OverheadReps; ++rep) {
+        sim::CompositeResult caon, caoff;
+        audit_off_s.push_back(runOnce(audit_off, 1, caoff));
+        audit_on_s.push_back(runOnce(audit_on, 1, caon));
+        audit_same = audit_same && caon.histogram == caoff.histogram;
+    }
+    const double wall_audit_off = median(audit_off_s);
+    const double wall_audit_on = median(audit_on_s);
     all_identical = all_identical && audit_same;
-    std::printf("\nattribution audit: off %.3f s, on %.3f s (%+.1f%% "
-                "overhead), histograms identical: %s\n",
-                wall_audit_off, wall_audit_on,
+    std::printf("\nattribution audit (median of %d): off %.3f s, on "
+                "%.3f s (%+.1f%% overhead), histograms identical: %s\n",
+                OverheadReps, wall_audit_off, wall_audit_on,
                 100.0 * (wall_audit_on / wall_audit_off - 1.0),
                 audit_same ? "yes" : "NO");
 
@@ -177,31 +197,42 @@ main()
     ck_cfg.checkpoint.everyCycles = 25000;
     const auto profile = wkl::timesharing1Profile();
 
-    double t = now();
-    const auto plain = sim::ExperimentRunner(cfg).runWorkload(profile);
-    const double wall_plain = now() - t;
-    t = now();
-    const auto ckpt = sim::ExperimentRunner(ck_cfg).runWorkload(profile);
-    const double wall_ckpt = now() - t;
-    const bool ck_same = plain.histogram == ckpt.histogram;
-    all_identical = all_identical && ck_same;
-
+    std::vector<double> plain_s, ckpt_s, restore_s;
+    bool ck_same = true;
     size_t saved = 0;
-    for (const auto &e : fs::directory_iterator(ckdir, ec))
-        if (e.path().extension() == ".ckpt")
-            ++saved;
+    for (int rep = 0; rep < OverheadReps; ++rep) {
+        fs::remove_all(ckdir, ec);
+        double t = now();
+        const auto plain =
+            sim::ExperimentRunner(cfg).runWorkload(profile);
+        plain_s.push_back(now() - t);
+        t = now();
+        const auto ckpt =
+            sim::ExperimentRunner(ck_cfg).runWorkload(profile);
+        ckpt_s.push_back(now() - t);
+        ck_same = ck_same && plain.histogram == ckpt.histogram;
 
-    sim::WorkloadRun rewind(ck_cfg, profile);
-    const std::string latest =
-        snap::latestCheckpoint(ck_cfg.checkpoint.dir, rewind.taskId());
-    t = now();
-    rewind.restore(latest);
-    const double wall_restore = now() - t;
+        saved = 0;
+        for (const auto &e : fs::directory_iterator(ckdir, ec))
+            if (e.path().extension() == ".ckpt")
+                ++saved;
 
-    std::printf("\ncheckpoints: plain %.3f s, saving %zu snapshots "
-                "%.3f s (%+.1f%% overhead), one restore %.1f ms, "
-                "histograms identical: %s\n",
-                wall_plain, saved, wall_ckpt,
+        sim::WorkloadRun rewind(ck_cfg, profile);
+        const std::string latest = snap::latestCheckpoint(
+            ck_cfg.checkpoint.dir, rewind.taskId());
+        t = now();
+        rewind.restore(latest);
+        restore_s.push_back(now() - t);
+    }
+    all_identical = all_identical && ck_same;
+    const double wall_plain = median(plain_s);
+    const double wall_ckpt = median(ckpt_s);
+    const double wall_restore = median(restore_s);
+
+    std::printf("\ncheckpoints (median of %d): plain %.3f s, saving %zu "
+                "snapshots %.3f s (%+.1f%% overhead), one restore %.1f "
+                "ms, histograms identical: %s\n",
+                OverheadReps, wall_plain, saved, wall_ckpt,
                 100.0 * (wall_ckpt / wall_plain - 1.0),
                 1e3 * wall_restore, ck_same ? "yes" : "NO");
     fs::remove_all(ckdir, ec);
@@ -235,6 +266,7 @@ main()
             {"hw_concurrency", int64_t{hw}},
             {"jobs", std::move(jobs)},
             {"scaling", std::move(scaling)},
+            {"overhead_repetitions", int64_t{OverheadReps}},
             {"audit_overhead", json::Members{{"off_s", wall_audit_off},
                                              {"on_s", wall_audit_on},
                                              {"identical", audit_same}}},

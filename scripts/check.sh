@@ -6,9 +6,11 @@
 # prove the snapshot layer's crash-recovery contract (a composite that
 # crashes mid-run and restores from checkpoints, serially and with 4
 # workers, must reproduce the uninterrupted report byte for byte),
-# run the dual-dispatch differential suite (the threaded interpreter
-# must match the switch reference byte for byte; each test pins its
-# machines through MachineConfig::dispatch, the only dispatch setting),
+# run the dual-dispatch differential suite (the EBOX has one cycle
+# body; threaded dispatch runs each fused form's compile-time
+# instantiation of it and must match the all-dynamic Switch
+# instantiation byte for byte; each test pins its machines through
+# MachineConfig::dispatch, the only dispatch setting),
 # emit the perf-trajectory figures (BENCH_simspeed.json,
 # BENCH_parallel.json) from a dedicated Release build-bench tree —
 # comparing against the committed baseline and refusing debug-build

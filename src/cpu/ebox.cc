@@ -124,12 +124,6 @@ Ebox::cycleInner(uint64_t now)
         upc_ = t;
     }
 
-    return threaded_ ? runCycleDecoded(now) : runCycle(now);
-}
-
-CycleOut
-Ebox::runCycle(uint64_t now)
-{
     // Control-store parity error on this word's fetch: the 780's
     // hardware re-fetched the word, costing one abort cycle. A word
     // is retried at most once so injection cannot wedge the machine.
@@ -140,38 +134,108 @@ Ebox::runCycle(uint64_t now)
     }
     csRetried_ = false;
 
-    return runCycleCore(now);
+    if (threaded_)
+        return runCycleDecoded(now);
+    return runCycleCore<Hx::Generic>(img_.ops[upc_], now);
 }
 
+// --------------------------------------------------------------------------
+// The cycle body. One template serves both dispatchers: the Switch
+// reference and the threaded dispatcher's Generic rows instantiate it
+// with every field read from the word, and each fused form of the
+// decoded control store instantiates it with the fields its
+// ucode::forms row fixes as compile-time constants. Every member below
+// is force-inlined, so each instantiation folds its switches down to
+// the cases its form can reach; the state it leaves behind
+// (dpMemSize_, memDone_, memSuppressed_, pendingComplete_) is the
+// same in every instantiation because there is only one body.
+// --------------------------------------------------------------------------
+
 CycleOut
-Ebox::runCycleCore(uint64_t now)
+Ebox::runCycleDecoded(uint64_t now)
 {
-    const MicroOp &op = img_.ops[upc_];
+    const DecodedRow &row = rows_[upc_];
+
+    // Computed-goto dispatch (a GCC/Clang extension; the build supports
+    // no other compiler): one indirect branch per cycle, with a
+    // distinct branch site per form transition for the predictor.
+    static const void *const tbl[] = {
+        &&hx_generic,  &&hx_pad,       &&hx_decode,    &&hx_spechead,
+        &&hx_specopnd, &&hx_mdrread,   &&hx_wres,      &&hx_opndaddr,
+        &&hx_nopdisp,  &&hx_exec,      &&hx_execstep,  &&hx_loopdec,
+        &&hx_brdisp,   &&hx_takebr,    &&hx_execdisp,  &&hx_execbdisp,
+        &&hx_brtgt,
+    };
+    static_assert(sizeof(tbl) / sizeof(tbl[0]) ==
+                  static_cast<size_t>(Hx::NumHandlers));
+    goto *tbl[static_cast<size_t>(row.h)];
+
+  hx_generic:
+    return runCycleCore<Hx::Generic>(row.op, now);
+  hx_pad:
+    return runCycleCore<Hx::Pad>(row.op, now);
+  hx_decode:
+    return runCycleCore<Hx::Decode>(row.op, now);
+  hx_spechead:
+    return runCycleCore<Hx::SpecHead>(row.op, now);
+  hx_specopnd:
+    return runCycleCore<Hx::SpecOperand>(row.op, now);
+  hx_mdrread:
+    return runCycleCore<Hx::OperandMdrRead>(row.op, now);
+  hx_wres:
+    return runCycleCore<Hx::WriteResultSpec>(row.op, now);
+  hx_opndaddr:
+    return runCycleCore<Hx::OperandAddrDisp>(row.op, now);
+  hx_nopdisp:
+    return runCycleCore<Hx::NopSpecDispatch>(row.op, now);
+  hx_exec:
+    return runCycleCore<Hx::ExecNext>(row.op, now);
+  hx_execstep:
+    return runCycleCore<Hx::ExecStepNext>(row.op, now);
+  hx_loopdec:
+    return runCycleCore<Hx::LoopDecJif>(row.op, now);
+  hx_brdisp:
+    return runCycleCore<Hx::BranchDisp>(row.op, now);
+  hx_takebr:
+    return runCycleCore<Hx::TakeBranchDecode>(row.op, now);
+  hx_execdisp:
+    return runCycleCore<Hx::ExecSpecDispatch>(row.op, now);
+  hx_execbdisp:
+    return runCycleCore<Hx::ExecBdispCond>(row.op, now);
+  hx_brtgt:
+    return runCycleCore<Hx::BranchTargetNext>(row.op, now);
+}
+
+template <Hx H>
+CycleOut
+Ebox::runCycleCore(const MicroOp &op, uint64_t now)
+{
+    const FieldView<H> f{op};
 
     // 1. I-Decode requirement: insufficient bytes is an IB stall cycle
     // at the context's dedicated stall address, or a microtrap when an
     // I-stream TB miss is what is starving the buffer.
-    if (op.ib != Ib::None && !pendingComplete_) {
+    if (f.ib() != Ib::None && !pendingComplete_) {
         uint32_t need = 0;
-        if (!ibSatisfied(op, need)) {
+        if (!ibSatisfied(f, need)) {
             if (ibox_.tbMissPending() && ibox_.available() < need) {
                 startTrap(TrapKind::TbMissI, ibox_.tbMissVa());
                 obsEv_.abort = true;
                 return {img_.marks.abort, false, false};
             }
             obsEv_.ibStall = true;
-            return {ibStallAddrFor(op), false, false};
+            return {ibStallAddrFor(f), false, false};
         }
     }
 
     // 2. Memory function: translate, access, and absorb stalls.
-    if (op.mem != Mem::None && !memDone_ && !pendingComplete_) {
+    if (f.mem() != Mem::None && !memDone_ && !pendingComplete_) {
         dpMemSize_ = 0;
-        bool do_mem = dpPre(op);
+        bool do_mem = dpPre(f);
         memSuppressed_ = !do_mem;
         if (do_mem) {
             arch::PAddr pa = taddr_;
-            if (op.mem != Mem::ReadP && mapEnabled_) {
+            if (f.mem() != Mem::ReadP && mapEnabled_) {
                 if (!tb_.lookup(taddr_, false, pa)) {
                     startTrap(TrapKind::TbMissD, taddr_);
                     obsEv_.abort = true;
@@ -179,9 +243,9 @@ Ebox::runCycleCore(uint64_t now)
                 }
             }
             uint32_t size =
-                dpMemSize_ ? dpMemSize_ : (op.arg ? op.arg : curSize_);
+                dpMemSize_ ? dpMemSize_ : (f.arg() ? f.arg() : curSize_);
             uint64_t stall = 0;
-            if (op.mem == Mem::WriteV) {
+            if (f.mem() == Mem::WriteV) {
                 auto r = memsys_.write(pa, size, mdr_, now);
                 stall = r.stallCycles;
             } else {
@@ -208,19 +272,20 @@ Ebox::runCycleCore(uint64_t now)
     // function — matching the analyzer's column rule — so a suppressed
     // memory op (dpPre said no) still counts, exactly as its histogram
     // bucket does.
-    if (op.mem == Mem::ReadV || op.mem == Mem::ReadP)
+    if (f.mem() == Mem::ReadV || f.mem() == Mem::ReadP)
         obsEv_.memRead = true;
-    else if (op.mem == Mem::WriteV)
+    else if (f.mem() == Mem::WriteV)
         obsEv_.memWrite = true;
     UAddr attributed = upc_;
-    completeUop(op);
+    completeUop(f);
     return {attributed, false, halted_};
 }
 
+template <class V>
 bool
-Ebox::ibSatisfied(const MicroOp &op, uint32_t &need) const
+Ebox::ibSatisfied(const V &f, uint32_t &need) const
 {
-    switch (op.ib) {
+    switch (f.ib()) {
       case Ib::DecodeOp:
         need = 1;
         break;
@@ -240,24 +305,19 @@ Ebox::ibSatisfied(const MicroOp &op, uint32_t &need) const
     return ibox_.available() >= need;
 }
 
+template <class V>
 UAddr
-Ebox::ibStallAddrFor(const MicroOp &op) const
+Ebox::ibStallAddrFor(const V &f) const
 {
-    switch (op.ib) {
+    switch (f.ib()) {
       case Ib::DecodeOp:
         return img_.marks.ibStallDecode;
       case Ib::GetBranchDisp:
         return img_.marks.ibStallBdisp;
       default:
-        return specStallAddr();
+        return curSpecIdx_ == 0 ? img_.marks.ibStallSpec1
+                                : img_.marks.ibStallSpec26;
     }
-}
-
-UAddr
-Ebox::specStallAddr() const
-{
-    return curSpecIdx_ == 0 ? img_.marks.ibStallSpec1
-                            : img_.marks.ibStallSpec26;
 }
 
 uint32_t
@@ -270,10 +330,11 @@ Ebox::branchDispNeed() const
     return need;
 }
 
+template <class V>
 void
-Ebox::consumeIb(const MicroOp &op)
+Ebox::consumeIb(const V &f)
 {
-    switch (op.ib) {
+    switch (f.ib()) {
       case Ib::None:
         return;
       case Ib::DecodeOp:
@@ -308,108 +369,107 @@ Ebox::consumeIb(const MicroOp &op)
 void
 Ebox::consumeDecodeOp()
 {
-    {
-        curOp_ = ibox_.peek(0);
-        ibox_.consume(1);
-        pc_ += 1;
-        curInfo_ = &opcodeInfo(curOp_);
-        if (!curInfo_->valid())
-            sim_throw(GuestError, "undefined opcode 0x%02x at pc 0x%08x", curOp_,
-                  pc_ - 1);
-        // Reset per-instruction state.
-        phase_ = Phase::PreSpecs;
-        scan_ = 0;
-        curSpecIdx_ = 0;
-        idxTailPending_ = false;
-        results_.clear();
-        nextResultIdx_ = 0;
-        curResultIdx_ = 0;
-        modifyPending_ = false;
-        haveModifyMem_ = false;
-        obsEv_.decode = true;
-        loopCount_ = 0;
-        reads_.clear();
-        readIdx_ = 0;
-        writes_.clear();
-        writeIdx_ = 0;
-        hasNumarg_ = false;
-        for (Opnd &o : opnd_)
-            o = Opnd{};
-        ++instructions_;
+    curOp_ = ibox_.peek(0);
+    ibox_.consume(1);
+    pc_ += 1;
+    curInfo_ = &opcodeInfo(curOp_);
+    if (!curInfo_->valid())
+        sim_throw(GuestError, "undefined opcode 0x%02x at pc 0x%08x",
+                  curOp_, pc_ - 1);
+    // Reset per-instruction state.
+    phase_ = Phase::PreSpecs;
+    scan_ = 0;
+    curSpecIdx_ = 0;
+    idxTailPending_ = false;
+    results_.clear();
+    nextResultIdx_ = 0;
+    curResultIdx_ = 0;
+    modifyPending_ = false;
+    haveModifyMem_ = false;
+    obsEv_.decode = true;
+    loopCount_ = 0;
+    reads_.clear();
+    readIdx_ = 0;
+    writes_.clear();
+    writeIdx_ = 0;
+    hasNumarg_ = false;
+    for (Opnd &o : opnd_)
+        o = Opnd{};
+    ++instructions_;
 
-        // RMODE optimization: deliver a register/short-literal first
-        // operand with the dispatch, in this same decode cycle.
-        if (rmodeOpt_ && curInfo_->numOperands > 0 &&
-            ibox_.available() >= 1) {
-            Access a0 = curInfo_->operands[0].access;
-            if (a0 == Access::Read || a0 == Access::Modify ||
-                a0 == Access::Field) {
-                uint8_t sb = ibox_.peek(0);
-                uint8_t mode = sb >> 4;
-                if (mode <= 3 || mode == 5) {
-                    curType_ = curInfo_->operands[0].type;
-                    curSize_ = dataTypeSize(curType_);
-                    curAccess_ = a0;
-                    curSpecIdx_ = 0;
-                    Opnd &o = opnd_[0];
-                    if (mode == 5) {
-                        uint8_t r = sb & 0xf;
-                        o.reg = r;
-                        if (a0 == Access::Field) {
-                            o.kind = Opnd::Kind::FieldReg;
-                        } else {
-                            o.kind = Opnd::Kind::RegVal;
-                            o.value = gpr_[r];
-                            if (curSize_ == 8) {
-                                o.value |= static_cast<uint64_t>(
-                                    gpr_[(r + 1) & 0xf]) << 32;
-                            }
-                        }
-                    } else if (a0 == Access::Read) {
-                        curSpec_.literal = sb & 0x3f;
-                        o.kind = Opnd::Kind::RegVal;
-                        o.value = expandLiteral(sb & 0x3f);
+    // RMODE optimization: deliver a register/short-literal first
+    // operand with the dispatch, in this same decode cycle.
+    if (rmodeOpt_ && curInfo_->numOperands > 0 &&
+        ibox_.available() >= 1) {
+        Access a0 = curInfo_->operands[0].access;
+        if (a0 == Access::Read || a0 == Access::Modify ||
+            a0 == Access::Field) {
+            uint8_t sb = ibox_.peek(0);
+            uint8_t mode = sb >> 4;
+            if (mode <= 3 || mode == 5) {
+                curType_ = curInfo_->operands[0].type;
+                curSize_ = dataTypeSize(curType_);
+                curAccess_ = a0;
+                curSpecIdx_ = 0;
+                Opnd &o = opnd_[0];
+                if (mode == 5) {
+                    uint8_t r = sb & 0xf;
+                    o.reg = r;
+                    if (a0 == Access::Field) {
+                        o.kind = Opnd::Kind::FieldReg;
                     } else {
-                        return;  // literal cannot be modified
+                        o.kind = Opnd::Kind::RegVal;
+                        o.value = gpr_[r];
+                        if (curSize_ == 8) {
+                            o.value |= static_cast<uint64_t>(
+                                gpr_[(r + 1) & 0xf]) << 32;
+                        }
                     }
-                    ibox_.consume(1);
-                    pc_ += 1;
-                    scan_ = 1;
+                } else if (a0 == Access::Read) {
+                    curSpec_.literal = sb & 0x3f;
+                    o.kind = Opnd::Kind::RegVal;
+                    o.value = expandLiteral(sb & 0x3f);
+                } else {
+                    return;  // literal cannot be modified
                 }
+                ibox_.consume(1);
+                pc_ += 1;
+                scan_ = 1;
             }
         }
-        return;
     }
 }
 
+template <class V>
 void
-Ebox::completeUop(const MicroOp &op)
+Ebox::completeUop(const V &f)
 {
-    consumeIb(op);
-    if (op.mem != Mem::None) {
+    consumeIb(f);
+    if (f.mem() != Mem::None) {
         if (!memSuppressed_)
-            dpPost(op);
+            dpPost(f);
     } else {
-        dpAll(op);
+        dpAll(f);
     }
     memDone_ = false;
     memSuppressed_ = false;
-    sequence(op);
+    sequence(f);
 }
 
+template <class V>
 void
-Ebox::sequence(const MicroOp &op)
+Ebox::sequence(const V &f)
 {
-    switch (op.seq) {
+    switch (f.seq()) {
       case Seq::Next:
         ++upc_;
         return;
       case Seq::Jump:
-        upc_ = op.target;
+        upc_ = f.target();
         return;
       case Seq::Call:
         ustack_.push_back(static_cast<UAddr>(upc_ + 1));
-        upc_ = op.target;
+        upc_ = f.target();
         return;
       case Seq::Return:
         if (ustack_.empty())
@@ -418,13 +478,21 @@ Ebox::sequence(const MicroOp &op)
         ustack_.pop_back();
         return;
       case Seq::JumpIfFlag:
-        upc_ = flag_ ? op.target : static_cast<UAddr>(upc_ + 1);
+        upc_ = flag_ ? f.target() : static_cast<UAddr>(upc_ + 1);
         return;
       case Seq::JumpIfNotFlag:
-        upc_ = !flag_ ? op.target : static_cast<UAddr>(upc_ + 1);
+        upc_ = !flag_ ? f.target() : static_cast<UAddr>(upc_ + 1);
         return;
       case Seq::SpecDispatch:
-        seqSpecDispatch();
+        if (UAddr t = trySpecDispatch()) {
+            upc_ = t;
+        } else {
+            // upc_ is stale until the dispatch succeeds; cycleInner()
+            // consults pendDispatch_ first.
+            pendDispatch_ = true;
+            pendStallAddr_ = scan_ == 0 ? img_.marks.ibStallSpec1
+                                        : img_.marks.ibStallSpec26;
+        }
         return;
       case Seq::DecodeNext:
         upc_ = endInstruction();
@@ -442,381 +510,6 @@ Ebox::sequence(const MicroOp &op)
         upc_ = trappedUpc_;
         return;
     }
-}
-
-void
-Ebox::seqSpecDispatch()
-{
-    UAddr t = trySpecDispatch();
-    if (t == 0) {
-        pendDispatch_ = true;
-        pendStallAddr_ = scan_ == 0 ? img_.marks.ibStallSpec1
-                                    : img_.marks.ibStallSpec26;
-        // upc_ is stale until the dispatch succeeds; cycle()
-        // consults pendDispatch_ first.
-    } else {
-        upc_ = t;
-    }
-}
-
-// --------------------------------------------------------------------------
-// Threaded dispatch over the pre-decoded control store. Each fused
-// handler is the legacy runCycleCore specialized for one (dp, mem, ib,
-// seq) combination; Generic rows fall back to the full legacy body, so
-// any word of any image — including defective test images — executes
-// identically in both modes. The serialized-state discipline of the
-// legacy path (dpMemSize_ reset at each memory word, memDone_ held
-// across stalls, pendingComplete_/memSuppressed_ transitions) is
-// replicated exactly so snapshots taken under either dispatcher are
-// byte-identical.
-// --------------------------------------------------------------------------
-
-CycleOut
-Ebox::runCycleDecoded(uint64_t now)
-{
-    if (fault_ && !csRetried_ && fault_->onCsFetch()) {
-        csRetried_ = true;
-        obsEv_.abort = true;
-        return {img_.marks.abort, false, false};
-    }
-    csRetried_ = false;
-
-    const ucode::DecodedRow &row = rows_[upc_];
-
-    // Computed-goto dispatch (a GCC/Clang extension; the build supports
-    // no other compiler): one indirect branch per cycle, with a
-    // distinct branch site per handler transition for the predictor.
-    static const void *const tbl[] = {
-        &&hx_generic,  &&hx_pad,       &&hx_decode,    &&hx_spechead,
-        &&hx_specopnd, &&hx_mdrread,   &&hx_wres,      &&hx_opndaddr,
-        &&hx_nopdisp,  &&hx_exec,      &&hx_execstep,  &&hx_loopdec,
-        &&hx_brdisp,   &&hx_takebr,    &&hx_execdisp,  &&hx_execbdisp,
-        &&hx_brtgt,
-    };
-    static_assert(sizeof(tbl) / sizeof(tbl[0]) ==
-                  static_cast<size_t>(ucode::Hx::NumHandlers));
-    goto *tbl[static_cast<size_t>(row.h)];
-
-  hx_generic:
-    return runCycleCore(now);
-  hx_pad:
-    return hxPad(row);
-  hx_decode:
-    return hxDecode(row);
-  hx_spechead:
-    return hxSpecHead(row);
-  hx_specopnd:
-    return hxSpecOperand(row);
-  hx_mdrread:
-    return hxOperandMdrRead(row);
-  hx_wres:
-    return hxWriteResultSpec(row);
-  hx_opndaddr:
-    return hxOperandAddrDisp(row);
-  hx_nopdisp:
-    return hxNopSpecDispatch(row);
-  hx_exec:
-    return hxExecNext(row);
-  hx_execstep:
-    return hxExecStepNext(row);
-  hx_loopdec:
-    return hxLoopDecJif(row);
-  hx_brdisp:
-    return hxBranchDisp(row);
-  hx_takebr:
-    return hxTakeBranchDecode(row);
-  hx_execdisp:
-    return hxExecSpecDispatch(row);
-  hx_execbdisp:
-    return hxExecBdispCond(row);
-  hx_brtgt:
-    return hxBranchTargetNext(row);
-}
-
-bool
-Ebox::ibGate(uint32_t need, UAddr stall_addr, CycleOut &out)
-{
-    if (ibox_.available() >= need)
-        return true;
-    if (ibox_.tbMissPending()) {
-        startTrap(TrapKind::TbMissI, ibox_.tbMissVa());
-        obsEv_.abort = true;
-        out = {img_.marks.abort, false, false};
-    } else {
-        obsEv_.ibStall = true;
-        out = {stall_addr, false, false};
-    }
-    return false;
-}
-
-CycleOut
-Ebox::hxPad(const ucode::DecodedRow &row)
-{
-    ++upc_;
-    return {row.self, false, false};
-}
-
-CycleOut
-Ebox::hxDecode(const ucode::DecodedRow &row)
-{
-    CycleOut out;
-    if (!ibGate(1, img_.marks.ibStallDecode, out))
-        return out;
-    consumeDecodeOp();
-    seqSpecDispatch();
-    return {row.self, false, halted_};
-}
-
-CycleOut
-Ebox::hxSpecHead(const ucode::DecodedRow &row)
-{
-    CycleOut out;
-    if (!ibGate(curEncLen_, specStallAddr(), out))
-        return out;
-    ibox_.consume(curEncLen_);
-    pc_ += curEncLen_;
-    switch (row.op.dp) {
-      case Dp::SpecLoadReg:
-        taddr_ = curSpec_.reg == reg::PC ? pc_ : gpr_[curSpec_.reg];
-        break;
-      case Dp::SpecLoadRegDisp:
-        taddr_ = (curSpec_.reg == reg::PC ? pc_ : gpr_[curSpec_.reg]) +
-                 static_cast<uint32_t>(curSpec_.disp);
-        break;
-      case Dp::SpecLoadAbs:
-        taddr_ = static_cast<uint32_t>(curSpec_.immediate);
-        break;
-      case Dp::SpecAutoInc: {
-        uint32_t step = row.op.arg ? row.op.arg : curSize_;
-        taddr_ = gpr_[curSpec_.reg];
-        gpr_[curSpec_.reg] += step;
-        break;
-      }
-      default: {  // SpecAutoDec, by classifyUop
-        uint32_t step = row.op.arg ? row.op.arg : curSize_;
-        gpr_[curSpec_.reg] -= step;
-        taddr_ = gpr_[curSpec_.reg];
-        break;
-      }
-    }
-    ++upc_;
-    return {row.self, false, halted_};
-}
-
-CycleOut
-Ebox::hxSpecOperand(const ucode::DecodedRow &row)
-{
-    CycleOut out;
-    if (!ibGate(curEncLen_, specStallAddr(), out))
-        return out;
-    ibox_.consume(curEncLen_);
-    pc_ += curEncLen_;
-    switch (row.op.dp) {
-      case Dp::OperandFromReg: {
-        Opnd &o = opnd_[curSpecIdx_];
-        o.reg = curSpec_.reg;
-        if (curAccess_ == Access::Field) {
-            o.kind = Opnd::Kind::FieldReg;
-        } else {
-            o.kind = Opnd::Kind::RegVal;
-            o.value = gpr_[curSpec_.reg];
-            if (curSize_ == 8) {
-                o.value |= static_cast<uint64_t>(
-                    gpr_[(curSpec_.reg + 1) & 0xf]) << 32;
-            }
-        }
-        break;
-      }
-      case Dp::OperandFromLit: {
-        Opnd &o = opnd_[curSpecIdx_];
-        o.kind = Opnd::Kind::RegVal;
-        o.value = expandLiteral(curSpec_.literal);
-        break;
-      }
-      case Dp::OperandFromImm: {
-        Opnd &o = opnd_[curSpecIdx_];
-        o.kind = Opnd::Kind::RegVal;
-        o.value = curSpec_.immediate;
-        break;
-      }
-      default:  // RegWriteSpec, by classifyUop
-        if (curResultIdx_ >= results_.size())
-            panic("register write specifier with no pending result");
-        storeRegResult(curSpec_.reg, results_[curResultIdx_], curSize_);
-        break;
-    }
-    seqSpecDispatch();
-    return {row.self, false, halted_};
-}
-
-CycleOut
-Ebox::hxOperandMdrRead(const ucode::DecodedRow &row)
-{
-    if (!memDone_ && !pendingComplete_) {
-        dpMemSize_ = 0;
-        memSuppressed_ = false;
-        arch::PAddr pa = taddr_;
-        if (mapEnabled_ && !tb_.lookup(taddr_, false, pa)) {
-            startTrap(TrapKind::TbMissD, taddr_);
-            obsEv_.abort = true;
-            return {img_.marks.abort, false, false};
-        }
-        uint32_t size = row.op.arg ? row.op.arg : curSize_;
-        auto r = memsys_.read(pa, size, now_);
-        mdr_ = r.data;
-        memDone_ = true;
-        if (r.stallCycles > 0) {
-            stallRemaining_ = r.stallCycles - 1;
-            pendingComplete_ = true;
-            return {upc_, true, false};
-        }
-    }
-    pendingComplete_ = false;
-    obsEv_.memRead = true;
-    Opnd &o = opnd_[curSpecIdx_];
-    o.kind = Opnd::Kind::MemVal;
-    o.value = mdr_;
-    o.addr = taddr_;
-    memDone_ = false;
-    memSuppressed_ = false;
-    seqSpecDispatch();
-    return {row.self, false, halted_};
-}
-
-CycleOut
-Ebox::hxWriteResultSpec(const ucode::DecodedRow &row)
-{
-    if (!memDone_ && !pendingComplete_) {
-        dpMemSize_ = 0;
-        memSuppressed_ = false;
-        if (curResultIdx_ >= results_.size())
-            panic("write specifier with no pending result");
-        mdr_ = results_[curResultIdx_];
-        arch::PAddr pa = taddr_;
-        if (mapEnabled_ && !tb_.lookup(taddr_, false, pa)) {
-            startTrap(TrapKind::TbMissD, taddr_);
-            obsEv_.abort = true;
-            return {img_.marks.abort, false, false};
-        }
-        uint32_t size = row.op.arg ? row.op.arg : curSize_;
-        auto r = memsys_.write(pa, size, mdr_, now_);
-        memDone_ = true;
-        if (r.stallCycles > 0) {
-            stallRemaining_ = r.stallCycles - 1;
-            pendingComplete_ = true;
-            return {upc_, true, false};
-        }
-    }
-    pendingComplete_ = false;
-    obsEv_.memWrite = true;
-    memDone_ = false;
-    memSuppressed_ = false;
-    seqSpecDispatch();
-    return {row.self, false, halted_};
-}
-
-CycleOut
-Ebox::hxOperandAddrDisp(const ucode::DecodedRow &row)
-{
-    Opnd &o = opnd_[curSpecIdx_];
-    o.kind = Opnd::Kind::Addr;
-    o.addr = taddr_;
-    seqSpecDispatch();
-    return {row.self, false, halted_};
-}
-
-CycleOut
-Ebox::hxNopSpecDispatch(const ucode::DecodedRow &row)
-{
-    seqSpecDispatch();
-    return {row.self, false, halted_};
-}
-
-CycleOut
-Ebox::hxExecNext(const ucode::DecodedRow &row)
-{
-    execMain();
-    ++upc_;
-    return {row.self, false, halted_};
-}
-
-CycleOut
-Ebox::hxExecStepNext(const ucode::DecodedRow &row)
-{
-    (void)execStepPre(row.op.arg);
-    ++upc_;
-    return {row.self, false, halted_};
-}
-
-CycleOut
-Ebox::hxLoopDecJif(const ucode::DecodedRow &row)
-{
-    if (loopCount_ > 0)
-        --loopCount_;
-    flag_ = loopCount_ > 0;
-    upc_ = flag_ ? row.op.target : static_cast<UAddr>(upc_ + 1);
-    return {row.self, false, halted_};
-}
-
-CycleOut
-Ebox::hxBranchDisp(const ucode::DecodedRow &row)
-{
-    uint32_t need = branchDispNeed();
-    CycleOut out;
-    if (!ibGate(need, img_.marks.ibStallBdisp, out))
-        return out;
-    uint32_t raw = ibox_.peek(0);
-    if (need == 2)
-        raw |= static_cast<uint32_t>(ibox_.peek(1)) << 8;
-    branchDisp_ = sext(raw, static_cast<int>(8 * need));
-    ibox_.consume(need);
-    pc_ += need;
-    target_ = pc_ + static_cast<uint32_t>(branchDisp_);
-    ++upc_;
-    return {row.self, false, halted_};
-}
-
-CycleOut
-Ebox::hxTakeBranchDecode(const ucode::DecodedRow &row)
-{
-    pc_ = target_;
-    ibox_.redirect(pc_);
-    upc_ = endInstruction();
-    return {row.self, false, halted_};
-}
-
-CycleOut
-Ebox::hxExecSpecDispatch(const ucode::DecodedRow &row)
-{
-    execMain();
-    seqSpecDispatch();
-    return {row.self, false, halted_};
-}
-
-CycleOut
-Ebox::hxExecBdispCond(const ucode::DecodedRow &row)
-{
-    uint32_t need = branchDispNeed();
-    CycleOut out;
-    if (!ibGate(need, img_.marks.ibStallBdisp, out))
-        return out;
-    uint32_t raw = ibox_.peek(0);
-    if (need == 2)
-        raw |= static_cast<uint32_t>(ibox_.peek(1)) << 8;
-    branchDisp_ = sext(raw, static_cast<int>(8 * need));
-    ibox_.consume(need);
-    pc_ += need;
-    execMain();
-    upc_ = flag_ ? static_cast<UAddr>(upc_ + 1) : endInstruction();
-    return {row.self, false, halted_};
-}
-
-CycleOut
-Ebox::hxBranchTargetNext(const ucode::DecodedRow &row)
-{
-    target_ = pc_ + static_cast<uint32_t>(branchDisp_);
-    ++upc_;
-    return {row.self, false, halted_};
 }
 
 // --------------------------------------------------------------------------
@@ -1118,12 +811,13 @@ Ebox::readRegPair(uint8_t r, uint32_t size) const
     return gpr_[r];
 }
 
+template <class V>
 bool
-Ebox::dpPre(const MicroOp &op)
+Ebox::dpPre(const V &f)
 {
-    switch (op.dp) {
+    switch (f.dp()) {
       case Dp::ExecStep:
-        return execStepPre(op.arg);
+        return execStepPre(f.arg());
       case Dp::WriteResult:
         if (curResultIdx_ >= results_.size())
             panic("write specifier with no pending result");
@@ -1168,10 +862,11 @@ Ebox::dpPre(const MicroOp &op)
     }
 }
 
+template <class V>
 void
-Ebox::dpPost(const MicroOp &op)
+Ebox::dpPost(const V &f)
 {
-    switch (op.dp) {
+    switch (f.dp()) {
       case Dp::OperandFromMdr: {
         Opnd &o = opnd_[curSpecIdx_];
         o.kind = Opnd::Kind::MemVal;
@@ -1180,7 +875,7 @@ Ebox::dpPost(const MicroOp &op)
         return;
       }
       case Dp::ExecStep:
-        execStepPost(op.arg);
+        execStepPost(f.arg());
         return;
       case Dp::ModifyWriteback:
         modifyPending_ = false;
@@ -1214,34 +909,34 @@ Ebox::dpPost(const MicroOp &op)
     }
 }
 
+template <class V>
 void
-Ebox::dpAll(const MicroOp &op)
+Ebox::dpAll(const V &f)
 {
-    auto reg_or_pc = [&](uint8_t r) {
-        return r == reg::PC ? pc_ : gpr_[r];
-    };
+    // The specifier's base register; PC reads as the updated PC.
+    const uint32_t base =
+        curSpec_.reg == reg::PC ? pc_ : gpr_[curSpec_.reg];
 
-    switch (op.dp) {
+    switch (f.dp()) {
       case Dp::Nop:
         return;
       case Dp::SpecLoadReg:
-        taddr_ = reg_or_pc(curSpec_.reg);
+        taddr_ = base;
         return;
       case Dp::SpecLoadRegDisp:
-        taddr_ = reg_or_pc(curSpec_.reg) +
-                 static_cast<uint32_t>(curSpec_.disp);
+        taddr_ = base + static_cast<uint32_t>(curSpec_.disp);
         return;
       case Dp::SpecLoadAbs:
         taddr_ = static_cast<uint32_t>(curSpec_.immediate);
         return;
       case Dp::SpecAutoInc: {
-        uint32_t step = op.arg ? op.arg : curSize_;
+        uint32_t step = f.arg() ? f.arg() : curSize_;
         taddr_ = gpr_[curSpec_.reg];
         gpr_[curSpec_.reg] += step;
         return;
       }
       case Dp::SpecAutoDec: {
-        uint32_t step = op.arg ? op.arg : curSize_;
+        uint32_t step = f.arg() ? f.arg() : curSize_;
         gpr_[curSpec_.reg] -= step;
         taddr_ = gpr_[curSpec_.reg];
         return;
@@ -1269,8 +964,7 @@ Ebox::dpAll(const MicroOp &op)
           case AddrMode::DispByteDeferred:
           case AddrMode::DispWordDeferred:
           case AddrMode::DispLongDeferred:
-            taddr_ = reg_or_pc(curSpec_.reg) +
-                     static_cast<uint32_t>(curSpec_.disp);
+            taddr_ = base + static_cast<uint32_t>(curSpec_.disp);
             break;
           case AddrMode::Absolute:
             taddr_ = static_cast<uint32_t>(curSpec_.immediate);
@@ -1333,7 +1027,7 @@ Ebox::dpAll(const MicroOp &op)
         return;
       case Dp::ExecStep:
         // Non-memory execute step: apply/pad phase.
-        (void)execStepPre(op.arg);
+        (void)execStepPre(f.arg());
         return;
       case Dp::LoopDec:
         if (loopCount_ > 0)
@@ -1348,7 +1042,7 @@ Ebox::dpAll(const MicroOp &op)
         ibox_.redirect(pc_);
         return;
       case Dp::TbComputePte: {
-        if (op.arg == 0) {
+        if (f.arg() == 0) {
             bool is_phys = false;
             auto a = mmu::pteAddress(map_, missVa_, is_phys);
             if (!a)
@@ -1376,7 +1070,7 @@ Ebox::dpAll(const MicroOp &op)
                     flag_ = true;
                 }
             }
-        } else if (op.arg == 1) {
+        } else if (f.arg() == 1) {
             taddr_ = map_.sbr + 4 * mmu::vpnOf(pteVa_);
         } else {
             uint32_t spte = static_cast<uint32_t>(
@@ -1391,8 +1085,8 @@ Ebox::dpAll(const MicroOp &op)
         uint32_t entry = static_cast<uint32_t>(mdr_);
         if (!mmu::pte::valid(entry))
             sim_throw(GuestError, "invalid PTE for VA 0x%08x (page faults unsupported)",
-                  op.arg == 0 ? missVa_ : pteVa_);
-        tb_.fill(op.arg == 0 ? missVa_ : pteVa_, mmu::pte::pfn(entry));
+                  f.arg() == 0 ? missVa_ : pteVa_);
+        tb_.fill(f.arg() == 0 ? missVa_ : pteVa_, mmu::pte::pfn(entry));
         return;
       }
       case Dp::IntEnter: {
@@ -1412,7 +1106,7 @@ Ebox::dpAll(const MicroOp &op)
         return;
       default:
         panic("unhandled datapath function %d in non-memory word",
-              static_cast<int>(op.dp));
+              static_cast<int>(f.dp()));
     }
 }
 

@@ -6,7 +6,10 @@
  * Each call to cycle() advances exactly one 200 ns machine cycle and
  * reports which control-store address the cycle belongs to and whether
  * it was a read/write-stalled cycle — precisely the two counts the UPC
- * histogram board keeps per bucket (paper §2.2, §4.3).
+ * histogram board keeps per bucket (paper §2.2, §4.3). What a
+ * microinstruction does in its cycle is said once, in the cycle body
+ * runCycleCore; both dispatch modes run instantiations of it (see
+ * ucode/decoded.hh and DESIGN.md §15).
  *
  * Architectural semantics are computed by the execute unit (exec.cc)
  * when the per-opcode Exec micro-operation runs; memory traffic,
@@ -94,7 +97,7 @@ class Ebox
      * can be executed from the current micro-PC with no per-cycle
      * dispatch. Zero whenever the EBOX is not in a clean running state
      * (halted, stalled, trapping, dispatch-pending, fault injection
-     * attached) or the dispatcher is the legacy switch reference.
+     * attached) or dispatch is the Switch reference.
      */
     uint32_t padRun() const
     {
@@ -250,55 +253,46 @@ class Ebox
      * hook) affects both bookkeepings identically.
      */
     CycleOut cycleInner(uint64_t now);
-    CycleOut runCycle(uint64_t now);
-    CycleOut runCycleCore(uint64_t now);
-    bool ibSatisfied(const ucode::MicroOp &op, uint32_t &need) const;
-    ucode::UAddr ibStallAddrFor(const ucode::MicroOp &op) const;
-    void consumeIb(const ucode::MicroOp &op);
-    void completeUop(const ucode::MicroOp &op);
-    void sequence(const ucode::MicroOp &op);
-
-    // ----- threaded dispatch over the decoded control store ---------------
-    /** runCycle twin driving the fused handlers of decoded rows. */
+    /** Threaded dispatch: jump to the decoded row's form. */
     CycleOut runCycleDecoded(uint64_t now);
-    /** Gate on @p need IB bytes; false fills @p out with the stall row. */
-    bool ibGate(uint32_t need, ucode::UAddr stall_addr, CycleOut &out);
-    /** Stall row for the current specifier position (spec1 vs 2-6). */
-    ucode::UAddr specStallAddr() const;
+
+    /**
+     * The one cycle body: word @p op's I-Decode gate, memory function
+     * and completion. Form @p H fixes some of the word's fields at
+     * compile time (ucode::FieldView); Hx::Generic reads every field
+     * from @p op and is what DispatchMode::Switch runs. The helpers
+     * below take the same view and, like the body, are force-inlined
+     * so each form's instantiation folds their switches.
+     */
+    template <ucode::Hx H>
+    [[gnu::always_inline]] inline CycleOut
+    runCycleCore(const ucode::MicroOp &op, uint64_t now);
+    template <class V>
+    [[gnu::always_inline]] inline bool ibSatisfied(const V &f,
+                                                   uint32_t &need) const;
+    template <class V>
+    [[gnu::always_inline]] inline ucode::UAddr
+    ibStallAddrFor(const V &f) const;
+    template <class V>
+    [[gnu::always_inline]] inline void consumeIb(const V &f);
+    template <class V>
+    [[gnu::always_inline]] inline void completeUop(const V &f);
+    template <class V>
+    [[gnu::always_inline]] inline void sequence(const V &f);
+    /** dp execution split around the memory function. */
+    template <class V>
+    [[gnu::always_inline]] inline bool dpPre(const V &f); //!< do memory?
+    template <class V>
+    [[gnu::always_inline]] inline void dpPost(const V &f);
+    template <class V>
+    [[gnu::always_inline]] inline void dpAll(const V &f);
+
     /** Encoded bytes of a branch displacement for the current opcode. */
     uint32_t branchDispNeed() const;
-    /** Seq::SpecDispatch: advance upc_ or latch a pending dispatch. */
-    void seqSpecDispatch();
     /** Ib::DecodeOp: consume the opcode byte and reset per-insn state. */
     void consumeDecodeOp();
     /** (Re)derive the decoded-image binding from img_ and the mode. */
     void rebindDecoded();
-
-    // Fused straight-line handlers, one per specialized ucode::Hx.
-    // Each is the legacy runCycleCore body partially evaluated for its
-    // row's exact (dp, mem, ib, seq) combination; the dual-dispatch
-    // differential suite pins the equivalence.
-    CycleOut hxPad(const ucode::DecodedRow &row);
-    CycleOut hxDecode(const ucode::DecodedRow &row);
-    CycleOut hxSpecHead(const ucode::DecodedRow &row);
-    CycleOut hxSpecOperand(const ucode::DecodedRow &row);
-    CycleOut hxOperandMdrRead(const ucode::DecodedRow &row);
-    CycleOut hxWriteResultSpec(const ucode::DecodedRow &row);
-    CycleOut hxOperandAddrDisp(const ucode::DecodedRow &row);
-    CycleOut hxNopSpecDispatch(const ucode::DecodedRow &row);
-    CycleOut hxExecNext(const ucode::DecodedRow &row);
-    CycleOut hxExecStepNext(const ucode::DecodedRow &row);
-    CycleOut hxLoopDecJif(const ucode::DecodedRow &row);
-    CycleOut hxBranchDisp(const ucode::DecodedRow &row);
-    CycleOut hxTakeBranchDecode(const ucode::DecodedRow &row);
-    CycleOut hxExecSpecDispatch(const ucode::DecodedRow &row);
-    CycleOut hxExecBdispCond(const ucode::DecodedRow &row);
-    CycleOut hxBranchTargetNext(const ucode::DecodedRow &row);
-
-    /** dp execution split around the memory function. */
-    bool dpPre(const ucode::MicroOp &op);   //!< returns do-memory
-    void dpPost(const ucode::MicroOp &op);
-    void dpAll(const ucode::MicroOp &op);
 
     // ----- dispatch ---------------------------------------------------------
     /** Attempt the specifier/execute dispatch; 0 means IB-starved. */

@@ -8,6 +8,23 @@
 namespace upc780::cpu
 {
 
+void
+writeCanonical(ByteWriter &w, const MachineConfig &m)
+{
+    w.u32(m.mem.cache.sizeBytes);
+    w.u32(m.mem.cache.ways);
+    w.u32(m.mem.cache.blockBytes);
+    w.b(m.mem.cache.enabled);
+    w.u32(m.mem.sbi.readLatency);
+    w.u32(m.mem.sbi.writeLatency);
+    w.u32(m.mem.writeBufferDepth);
+    w.u32(m.mem.memSize);
+    w.u32(m.tb.entriesPerHalf);
+    w.b(m.tb.enabled);
+    w.b(m.fpa);
+    w.b(m.rmodeDecode);
+}
+
 Vax780::Vax780(const MachineConfig &config)
     : memsys_(config.mem),
       tb_(config.tb),

@@ -66,9 +66,11 @@ struct MachineConfig
     const ucode::MicrocodeImage *image = nullptr;
 
     /**
-     * EBOX interpreter. Threaded is the production path; Switch is the
-     * legacy reference interpreter the dual-dispatch differential
-     * tests compare it against.
+     * How the EBOX picks its cycle body. Threaded is the production
+     * path: each decoded word runs its form's instantiation of the one
+     * cycle body. Switch runs the all-dynamic instantiation on every
+     * word and is the reference the dual-dispatch differential tests
+     * compare Threaded against.
      */
     ucode::DispatchMode dispatch = ucode::DispatchMode::Threaded;
 
@@ -80,6 +82,16 @@ struct MachineConfig
      */
     bool operator==(const MachineConfig &) const = default;
 };
+
+/**
+ * Append @p m's trajectory-shaping fields to @p w in one fixed order:
+ * the field list both config fingerprints share (sim::configHash and
+ * svc::canonicalMachineBytes). Absent: dispatch, because every
+ * dispatch mode runs the same cycle body and so the same trajectory,
+ * and image, a pointer with no canonical bytes, which each fingerprint
+ * covers its own way.
+ */
+void writeCanonical(ByteWriter &w, const MachineConfig &m);
 
 /** The composed machine. */
 class Vax780 : public InterruptController

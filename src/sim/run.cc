@@ -49,55 +49,22 @@ configHash(const ExperimentConfig &cfg, const wkl::WorkloadProfile &p)
     // cfg.fault.cycleInjections, cfg.checkpoint (cadence, crash knob,
     // retries), and cfg.cancel — none of them change what a restored
     // machine *is*, only what the harness does around it. Also absent:
-    // cfg.machine.dispatch — both dispatchers compute the identical
-    // architected-state trajectory (the dual-dispatch differential
-    // suite proves it), so a snapshot taken under one resumes under
+    // cfg.machine.dispatch — every dispatch mode runs the one EBOX
+    // cycle body (the dual-dispatch differential suite checks the
+    // trajectories agree), so a snapshot taken under one resumes under
     // the other.
     ByteWriter w;
 
-    const cpu::MachineConfig &m = cfg.machine;
-    w.u32(m.mem.cache.sizeBytes);
-    w.u32(m.mem.cache.ways);
-    w.u32(m.mem.cache.blockBytes);
-    w.b(m.mem.cache.enabled);
-    w.u32(m.mem.sbi.readLatency);
-    w.u32(m.mem.sbi.writeLatency);
-    w.u32(m.mem.writeBufferDepth);
-    w.u32(m.mem.memSize);
-    w.u32(m.tb.entriesPerHalf);
-    w.b(m.tb.enabled);
-    w.b(m.fpa);
-    w.b(m.rmodeDecode);
+    cpu::writeCanonical(w, cfg.machine);
     // A custom image pointer cannot be hashed by value; record its
     // presence so a lint-test machine never resumes a stock snapshot.
-    w.b(m.image != nullptr);
+    w.b(cfg.machine.image != nullptr);
 
     w.u64(cfg.os.timerPeriodCycles);
     w.u32(cfg.os.quantumTicks);
     w.u64(cfg.os.seed);
 
-    w.str(p.name);
-    w.f64(p.weights.intLoop);
-    w.f64(p.weights.dataMove);
-    w.f64(p.weights.branchy);
-    w.f64(p.weights.callTree);
-    w.f64(p.weights.subrCalls);
-    w.f64(p.weights.stringOps);
-    w.f64(p.weights.floatKernel);
-    w.f64(p.weights.intMulDiv);
-    w.f64(p.weights.fieldOps);
-    w.f64(p.weights.bitBranches);
-    w.f64(p.weights.caseDispatch);
-    w.f64(p.weights.decimalOps);
-    w.f64(p.weights.queueOps);
-    w.f64(p.weights.sysWrite);
-    w.u32(p.users);
-    w.u32(p.sessionRepeat);
-    w.u32(p.dataPages);
-    w.u32(p.codeBlocks);
-    w.f64(p.thinkMeanCycles);
-    w.f64(p.loopIterMean);
-    w.u64(p.seed);
+    wkl::writeCanonical(w, p);
 
     w.u64(cfg.instructionsPerWorkload);
     w.u64(cfg.warmupInstructions);

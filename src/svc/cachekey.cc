@@ -11,57 +11,15 @@ namespace upc780::svc
 std::vector<uint8_t>
 canonicalMachineBytes(const cpu::MachineConfig &m)
 {
+    // dispatch is excluded: every dispatch mode runs the one EBOX
+    // cycle body (ctest -L dispatch checks the results agree), so it
+    // cannot shape a result. The image is covered separately, by
+    // content hash (see canonicalJobBytes) — a pointer has no
+    // canonical bytes.
     ByteWriter w;
-    w.u32(m.mem.cache.sizeBytes);
-    w.u32(m.mem.cache.ways);
-    w.u32(m.mem.cache.blockBytes);
-    w.b(m.mem.cache.enabled);
-    w.u32(m.mem.sbi.readLatency);
-    w.u32(m.mem.sbi.writeLatency);
-    w.u32(m.mem.writeBufferDepth);
-    w.u32(m.mem.memSize);
-    w.u32(m.tb.entriesPerHalf);
-    w.b(m.tb.enabled);
-    w.b(m.fpa);
-    w.b(m.rmodeDecode);
-    // dispatch is excluded: both interpreters compute the identical
-    // trajectory (ctest -L dispatch), so it cannot shape a result.
-    // The image is covered separately, by content hash (see
-    // canonicalJobBytes) — a pointer has no canonical bytes.
+    cpu::writeCanonical(w, m);
     return w.take();
 }
-
-namespace
-{
-
-void
-writeProfile(ByteWriter &w, const wkl::WorkloadProfile &p)
-{
-    w.str(p.name);
-    w.f64(p.weights.intLoop);
-    w.f64(p.weights.dataMove);
-    w.f64(p.weights.branchy);
-    w.f64(p.weights.callTree);
-    w.f64(p.weights.subrCalls);
-    w.f64(p.weights.stringOps);
-    w.f64(p.weights.floatKernel);
-    w.f64(p.weights.intMulDiv);
-    w.f64(p.weights.fieldOps);
-    w.f64(p.weights.bitBranches);
-    w.f64(p.weights.caseDispatch);
-    w.f64(p.weights.decimalOps);
-    w.f64(p.weights.queueOps);
-    w.f64(p.weights.sysWrite);
-    w.u32(p.users);
-    w.u32(p.sessionRepeat);
-    w.u32(p.dataPages);
-    w.u32(p.codeBlocks);
-    w.f64(p.thinkMeanCycles);
-    w.f64(p.loopIterMean);
-    w.u64(p.seed);
-}
-
-} // namespace
 
 std::vector<uint8_t>
 canonicalJobBytes(const JobSpec &spec)
@@ -83,7 +41,7 @@ canonicalJobBytes(const JobSpec &spec)
     w.u32(static_cast<uint32_t>(spec.workloads.size()));
     for (size_t i = 0; i < spec.workloads.size(); ++i) {
         w.str(spec.workloads[i]);
-        writeProfile(w, profiles[i]);
+        wkl::writeCanonical(w, profiles[i]);
     }
 
     // The explicit seed set: one derived seed per (replication,

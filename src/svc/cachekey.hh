@@ -20,10 +20,11 @@
  *
  * Deliberately absent: tenant (fairness identity, not physics — two
  * tenants share one entry), cache_only (how to answer, not what),
- * dispatch mode (both dispatchers are proven byte-identical by
- * `ctest -L dispatch`), and every daemon-side knob (spool dir,
- * checkpoint cadence, chaos crashes, timeouts) — a job that crashed
- * and recovered caches under the same key as one that ran clean.
+ * dispatch mode (every mode runs the one EBOX cycle body, and
+ * `ctest -L dispatch` checks the replies agree), and every daemon-side
+ * knob (spool dir, checkpoint cadence, chaos crashes, timeouts) — a
+ * job that crashed and recovered caches under the same key as one that
+ * ran clean.
  *
  * Canonical means canonical: the key is a function of the *parsed*
  * JobSpec, so JSON member order, whitespace, and spelled-out defaults

@@ -18,133 +18,17 @@ static_assert(ControlStoreSize <= UINT16_MAX);
 std::string_view
 hxName(Hx h)
 {
-    switch (h) {
-      case Hx::Generic:
-        return "generic";
-      case Hx::Pad:
-        return "pad";
-      case Hx::Decode:
-        return "decode";
-      case Hx::SpecHead:
-        return "spec-head";
-      case Hx::SpecOperand:
-        return "spec-operand";
-      case Hx::OperandMdrRead:
-        return "operand-mdr-read";
-      case Hx::WriteResultSpec:
-        return "write-result";
-      case Hx::OperandAddrDisp:
-        return "operand-addr";
-      case Hx::NopSpecDispatch:
-        return "nop-specdisp";
-      case Hx::ExecNext:
-        return "exec-next";
-      case Hx::ExecStepNext:
-        return "exec-step-next";
-      case Hx::LoopDecJif:
-        return "loopdec-jif";
-      case Hx::BranchDisp:
-        return "branch-disp";
-      case Hx::TakeBranchDecode:
-        return "take-branch-decode";
-      case Hx::ExecSpecDispatch:
-        return "exec-specdisp";
-      case Hx::ExecBdispCond:
-        return "exec-bdisp-cond";
-      case Hx::BranchTargetNext:
-        return "branch-target";
-      default:
-        return "?";
-    }
+    return static_cast<size_t>(h) < std::size(forms)
+               ? forms[static_cast<size_t>(h)].name
+               : "?";
 }
 
 Hx
 classifyUop(const MicroOp &op)
 {
-    // Handlers with a memory function or an IB pull are specialized
-    // only for the exact field combinations their straight-line bodies
-    // implement; anything else is Generic by construction.
-    if (op.mem == Mem::None && op.ib == Ib::None) {
-        switch (op.dp) {
-          case Dp::Nop:
-            if (op.seq == Seq::Next)
-                return Hx::Pad;
-            if (op.seq == Seq::SpecDispatch)
-                return Hx::NopSpecDispatch;
-            return Hx::Generic;
-          case Dp::OperandAddr:
-            return op.seq == Seq::SpecDispatch ? Hx::OperandAddrDisp
-                                               : Hx::Generic;
-          case Dp::Exec:
-            if (op.seq == Seq::Next)
-                return Hx::ExecNext;
-            if (op.seq == Seq::SpecDispatch)
-                return Hx::ExecSpecDispatch;
-            return Hx::Generic;
-          case Dp::ExecStep:
-            return op.seq == Seq::Next ? Hx::ExecStepNext : Hx::Generic;
-          case Dp::LoopDec:
-            return op.seq == Seq::JumpIfFlag ? Hx::LoopDecJif
-                                             : Hx::Generic;
-          case Dp::BranchTarget:
-            return op.seq == Seq::Next ? Hx::BranchTargetNext
-                                       : Hx::Generic;
-          case Dp::TakeBranch:
-            return op.seq == Seq::DecodeNext ? Hx::TakeBranchDecode
-                                             : Hx::Generic;
-          default:
-            return Hx::Generic;
-        }
-    }
-
-    if (op.mem == Mem::None && op.ib == Ib::DecodeOp)
-        return (op.dp == Dp::Nop && op.seq == Seq::SpecDispatch)
-                   ? Hx::Decode
-                   : Hx::Generic;
-
-    if (op.mem == Mem::None && op.ib == Ib::DecodeSpec) {
-        if (op.seq == Seq::Next) {
-            switch (op.dp) {
-              case Dp::SpecLoadReg:
-              case Dp::SpecLoadRegDisp:
-              case Dp::SpecLoadAbs:
-              case Dp::SpecAutoInc:
-              case Dp::SpecAutoDec:
-                return Hx::SpecHead;
-              default:
-                return Hx::Generic;
-            }
-        }
-        if (op.seq == Seq::SpecDispatch) {
-            switch (op.dp) {
-              case Dp::OperandFromReg:
-              case Dp::OperandFromLit:
-              case Dp::OperandFromImm:
-              case Dp::RegWriteSpec:
-                return Hx::SpecOperand;
-              default:
-                return Hx::Generic;
-            }
-        }
-        return Hx::Generic;
-    }
-
-    if (op.mem == Mem::None && op.ib == Ib::GetBranchDisp) {
-        if (op.dp == Dp::BranchTarget && op.seq == Seq::Next)
-            return Hx::BranchDisp;
-        if (op.dp == Dp::Exec && op.seq == Seq::DecodeNextIfNotFlag)
-            return Hx::ExecBdispCond;
-        return Hx::Generic;
-    }
-
-    if (op.mem == Mem::ReadV && op.ib == Ib::None &&
-        op.dp == Dp::OperandFromMdr && op.seq == Seq::SpecDispatch)
-        return Hx::OperandMdrRead;
-
-    if (op.mem == Mem::WriteV && op.ib == Ib::None &&
-        op.dp == Dp::WriteResult && op.seq == Seq::SpecDispatch)
-        return Hx::WriteResultSpec;
-
+    for (const Form &f : forms)
+        if (f.matches(op))
+            return f.h;
     return Hx::Generic;
 }
 
@@ -225,7 +109,7 @@ verifyDecoded(const MicrocodeImage &img, const DecodedImage &dec)
             continue;
         }
         if (r.h != classifyUop(op))
-            flag(a, "fused handler disagrees with the word's fields");
+            flag(a, "fused form disagrees with the word's fields");
         if (r.self != a)
             flag(a, "decoded row self-address mismatch");
         bool rd = op.mem == Mem::ReadV || op.mem == Mem::ReadP;

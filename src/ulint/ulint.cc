@@ -719,7 +719,7 @@ counterList(CounterMask m)
 void
 Linter::checkDecodedRows()
 {
-    // The structural audit (verbatim copy, handler agreement, pad
+    // The structural audit (verbatim copy, form agreement, pad
     // run-length chains) lives next to the decoder so the registry
     // and the linter can never drift apart on what "faithful" means.
     std::shared_ptr<const ucode::DecodedImage> dec =

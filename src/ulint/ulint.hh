@@ -70,7 +70,7 @@
  *  - UL016 decode-divergence: the pre-decoded row matrix the threaded
  *    dispatcher executes disagrees with the source control store — a
  *    row is not a verbatim copy of its word, carries the wrong fused
- *    handler or pad-superblock run length, or its static read/write
+ *    form or pad-superblock run length, or its static read/write
  *    cycle class contradicts the effects map. UL013-UL015 audit cycle
  *    classes and counter effects per word; this rule proves the
  *    decoded matrix is a faithful image of those words, so their

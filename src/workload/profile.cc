@@ -1,7 +1,36 @@
 #include "workload/profile.hh"
 
+#include "common/serial.hh"
+
 namespace upc780::wkl
 {
+
+void
+writeCanonical(ByteWriter &w, const WorkloadProfile &p)
+{
+    w.str(p.name);
+    w.f64(p.weights.intLoop);
+    w.f64(p.weights.dataMove);
+    w.f64(p.weights.branchy);
+    w.f64(p.weights.callTree);
+    w.f64(p.weights.subrCalls);
+    w.f64(p.weights.stringOps);
+    w.f64(p.weights.floatKernel);
+    w.f64(p.weights.intMulDiv);
+    w.f64(p.weights.fieldOps);
+    w.f64(p.weights.bitBranches);
+    w.f64(p.weights.caseDispatch);
+    w.f64(p.weights.decimalOps);
+    w.f64(p.weights.queueOps);
+    w.f64(p.weights.sysWrite);
+    w.u32(p.users);
+    w.u32(p.sessionRepeat);
+    w.u32(p.dataPages);
+    w.u32(p.codeBlocks);
+    w.f64(p.thinkMeanCycles);
+    w.f64(p.loopIterMean);
+    w.u64(p.seed);
+}
 
 WorkloadProfile
 timesharing1Profile()

@@ -15,6 +15,11 @@
 #include <string>
 #include <vector>
 
+namespace upc780
+{
+class ByteWriter;
+}
+
 namespace upc780::wkl
 {
 
@@ -50,6 +55,13 @@ struct WorkloadProfile
     double loopIterMean = 10.0;   //!< paper §3.1: ~10 loop iterations
     uint64_t seed = 1;
 };
+
+/**
+ * Append every field of @p p to @p w in one fixed order: the field list
+ * both config fingerprints share (sim::configHash and the svc cache
+ * key).
+ */
+void writeCanonical(ByteWriter &w, const WorkloadProfile &p);
 
 /** Lightly loaded research-group machine (~15 users). */
 WorkloadProfile timesharing1Profile();

@@ -161,6 +161,15 @@ TEST(CacheKey, EveryDocumentedFieldPerturbationChangesTheKey)
     }
 }
 
+TEST(CacheKey, DefaultPaperJobKeyPinned)
+{
+    // The key of the default paper job, pinned so a refactor of the
+    // canonical preimage cannot move every cached reply's address.
+    EXPECT_EQ(keyOf(R"({"workloads":"paper"})"),
+              "0f6b01272c7e6fd50bbb7b51b5147c5b15250c987443c40b"
+              "9681df018a8682df");
+}
+
 TEST(CacheKey, MachineBytesCoverEveryDocumentedField)
 {
     // canonicalMachineBytes is the machine half of the preimage; a

@@ -355,6 +355,16 @@ TEST(SnapMachine, CheckpointingDoesNotPerturbTheRun)
     EXPECT_GE(countCheckpoints(dir), 2u);
 }
 
+TEST(SnapMachine, DefaultConfigHashPinned)
+{
+    // The fingerprint every checkpoint and persisted result carries,
+    // pinned for the default config so a refactor of its field list
+    // cannot orphan the files a resume would load.
+    EXPECT_EQ(sim::configHash(sim::ExperimentConfig{},
+                              wkl::paperWorkloads()[0]),
+              0xbdd09f7dc43778c8ull);
+}
+
 TEST(SnapMachine, RestoreRefusesWrongConfigAndWorkload)
 {
     const fs::path dir = scratchDir("snap_refuse");

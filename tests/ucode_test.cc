@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/opcodes.hh"
+#include "common/serial.hh"
 #include "ucode/controlstore.hh"
 #include "ucode/decoded.hh"
 #include "ucode/uasm.hh"
@@ -305,6 +306,49 @@ TEST(DecodedStore, ClassifierFusesExactFieldCombinations)
     EXPECT_EQ(classifyUop(uop(Dp::TakeBranch)), Hx::Generic);
     EXPECT_EQ(classifyUop(uop(Dp::Exec, Mem::None, Ib::GetBranchDisp)),
               Hx::Generic);
+}
+
+TEST(DecodedStore, ShippedClassificationPinned)
+{
+    // FNV-1a of the per-word form vector of each shipped image: an
+    // edit of the form table that fuses a different set of words, or
+    // reorders Hx, fails here.
+    auto formHash = [](const MicrocodeImage &img) {
+        std::vector<uint8_t> v;
+        for (uint32_t a = 0; a < ControlStoreSize; ++a)
+            v.push_back(static_cast<uint8_t>(classifyUop(img.ops[a])));
+        return fnv1a(v);
+    };
+    EXPECT_EQ(formHash(microcodeImage()), 0x16143957f9310489ull);
+    EXPECT_EQ(formHash(microcodeImageNoFpa()), 0xab25c27373d1f3cdull);
+
+    // Every fused form but one is live in a shipped image, and no word
+    // matches two forms (so "first match" is not an order dependence).
+    // The exception is BranchDisp (brtgt / bdisp / next): every shipped
+    // branch fetches its displacement in its exec word (ExecBdispCond
+    // and the Generic exec/bdisp/next words), so no word has that form.
+    // It stays only because ClassifierFusesExactFieldCombinations pins
+    // it; should a word ever take it, this test says so.
+    std::vector<bool> used(std::size(forms), false);
+    for (const MicrocodeImage *img :
+         {&microcodeImage(), &microcodeImageNoFpa()}) {
+        for (uint32_t a = 0; a < ControlStoreSize; ++a) {
+            unsigned hits = 0;
+            for (const Form &f : forms) {
+                if (f.matches(img->ops[a])) {
+                    ++hits;
+                    used[static_cast<size_t>(f.h)] = true;
+                }
+            }
+            EXPECT_LE(hits, 1u) << "addr " << a;
+        }
+    }
+    for (const Form &f : forms) {
+        if (f.h != Hx::Generic) {
+            const bool live = f.h != Hx::BranchDisp;
+            EXPECT_EQ(used[static_cast<size_t>(f.h)], live) << f.name;
+        }
+    }
 }
 
 TEST(DecodedStore, RegistrySharesOneDecodePerImage)

@@ -45,7 +45,7 @@ usage(const char *argv0)
             "  --decoded      print the pre-decoded row matrix the "
             "threaded\n"
             "                 dispatcher executes (word -> fused "
-            "handler,\n"
+            "form,\n"
             "                 read/write class, pad-superblock run "
             "length)\n"
             "  --no-fpa       lint the microprogram assembled without "
@@ -70,10 +70,11 @@ enum class Output
 
 /**
  * The decoded-row matrix as JSON: one entry per allocated word with
- * its fused handler, static read/write cycle class, and (for Pad
- * rows) the micro-trace superblock run length. This is exactly what
- * the threaded dispatcher executes, so downstream audits can diff it
- * against the attribution matrix without linking the simulator.
+ * its fused form (the "handler" key), static read/write cycle class,
+ * and (for Pad rows) the micro-trace superblock run length. This is
+ * exactly what the threaded dispatcher executes, so downstream audits
+ * can diff it against the attribution matrix without linking the
+ * simulator.
  */
 std::string
 decodedJson(const upc780::ucode::MicrocodeImage &img)
