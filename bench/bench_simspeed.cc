@@ -24,7 +24,9 @@
  *  - `--compare BASELINE.json` reruns the benchmarks and reports the
  *    items/s delta against the baseline file, warning on >10%
  *    regressions (exit 1 under UPC780_BENCH_STRICT=1) — check.sh runs
- *    this against the committed BENCH_simspeed.json.
+ *    this against the committed BENCH_simspeed.json with
+ *    `--benchmark_repetitions=3`, and then compares each benchmark's
+ *    median, so one noisy run cannot flag or hide a regression.
  */
 
 #include <benchmark/benchmark.h>
@@ -268,7 +270,11 @@ struct Measured
     double itemsPerSecond = 0;
 };
 
-/** Console reporter that also captures items/s for --compare. */
+/**
+ * Console reporter that also captures items/s for --compare. Under
+ * --benchmark_repetitions a benchmark's figure is the median of its
+ * repetitions, which replaces any single run captured under its name.
+ */
 class CaptureReporter : public benchmark::ConsoleReporter
 {
   public:
@@ -278,10 +284,21 @@ class CaptureReporter : public benchmark::ConsoleReporter
     ReportRuns(const std::vector<Run> &reports) override
     {
         for (const Run &r : reports) {
+            const bool median = r.run_type == Run::RT_Aggregate;
+            if (median && r.aggregate_name != "median")
+                continue;
             auto it = r.counters.find("items_per_second");
-            if (it != r.counters.end())
-                results.push_back(
-                    {r.benchmark_name(), double(it->second)});
+            if (it == r.counters.end())
+                continue;
+            const std::string name = r.run_name.str();
+            Measured *known = nullptr;
+            for (Measured &m : results)
+                if (m.name == name)
+                    known = &m;
+            if (!known)
+                results.push_back({name, double(it->second)});
+            else if (median)
+                known->itemsPerSecond = double(it->second);
         }
         ConsoleReporter::ReportRuns(reports);
     }
@@ -324,9 +341,16 @@ loadBaseline(const std::string &path, BaselineFile &out)
         for (const char *key : {"library_build_type", "upc780_build_type"})
             if (const json::Value *v = ctx ? ctx->find(key) : nullptr)
                 out.buildType = v->asString();
+        // A baseline emitted with repetitions carries aggregates; its
+        // medians stand for their benchmarks, as in CaptureReporter.
         for (const json::Value &b : benchmarks->asArray()) {
             const json::Value *name = b.find("name");
             const json::Value *ips = b.find("items_per_second");
+            if (const json::Value *agg = b.find("aggregate_name")) {
+                if (agg->asString() != "median")
+                    continue;
+                name = b.find("run_name");
+            }
             if (name && ips)
                 out.results.push_back({name->asString(), ips->asDouble()});
         }

@@ -150,17 +150,21 @@ echo "== perf trajectory (Release build-bench; BENCH_*.json at root) =="
 cmake -S . -B build-bench -DCMAKE_BUILD_TYPE=Release
 cmake --build build-bench -j "$JOBS" --target bench_simspeed \
     bench_parallel
-# Compare against the committed baseline first (prints a WARNING and
-# a REGRESSION marker per benchmark >10% down; set
-# UPC780_BENCH_STRICT=1 to turn regressions into a hard failure),
-# then re-emit both figure files.
+# Compare against the committed baseline first: the median of three
+# repetitions of each benchmark, so one noisy run neither flags nor
+# hides a change (prints a WARNING and a REGRESSION marker per
+# benchmark whose median is >10% down; set UPC780_BENCH_STRICT=1 to
+# turn regressions into a hard failure), then re-emit both figure
+# files, the simspeed one as the same medians.
+REPS="--benchmark_repetitions=3 --benchmark_report_aggregates_only=true"
 if [ -f "$PWD/BENCH_simspeed.json" ]
 then
-    build-bench/bench/bench_simspeed --compare "$PWD/BENCH_simspeed.json"
+    build-bench/bench/bench_simspeed --compare "$PWD/BENCH_simspeed.json" \
+        $REPS
 fi
 UPC780_BENCH_JSON="$PWD/BENCH_parallel.json" \
 UPC780_LOG_LEVEL=quiet build-bench/bench/bench_parallel
-build-bench/bench/bench_simspeed \
+build-bench/bench/bench_simspeed $REPS \
     --benchmark_out="$PWD/BENCH_simspeed.json" \
     --benchmark_out_format=json
 # Refuse to bless debug-build numbers as the committed baseline.

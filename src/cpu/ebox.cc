@@ -1,5 +1,7 @@
 #include "cpu/ebox.hh"
 
+#include <algorithm>
+
 #include "common/bitfield.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -75,15 +77,6 @@ Ebox::setCc(bool n, bool z, bool v, bool c)
 // --------------------------------------------------------------------------
 // Cycle machinery
 // --------------------------------------------------------------------------
-
-CycleOut
-Ebox::cycle(uint64_t now)
-{
-    obsEv_ = obs::CycleEvents{};
-    CycleOut out = cycleInner(now);
-    obs::emitCycle(obsEv_, out.stalled);
-    return out;
-}
 
 CycleOut
 Ebox::cycleInner(uint64_t now)
@@ -1182,13 +1175,19 @@ Ebox::backdoorRead(VAddr va, uint32_t n) const
     if (!mapEnabled_)
         return memsys_.memory().read(va, n);
     uint64_t v = 0;
-    // Translate page by page (accesses may cross a page boundary).
-    for (uint32_t i = 0; i < n; ++i) {
-        auto pa = mmu::walk(memsys_.memory(), map_, va + i);
+    // Translate once per page: every byte of a page shares its PTE, so
+    // the first byte of a page run is also its first unmapped byte.
+    for (uint32_t i = 0; i < n;) {
+        const VAddr at = va + i;
+        auto pa = mmu::walk(memsys_.memory(), map_, at);
         if (!pa)
-            sim_throw(GuestError, "backdoor read of unmapped VA 0x%08x", va + i);
-        v |= static_cast<uint64_t>(memsys_.memory().readByte(*pa))
-             << (8 * i);
+            sim_throw(GuestError, "backdoor read of unmapped VA 0x%08x", at);
+        const uint32_t end =
+            std::min(n, i + mmu::PageBytes - (at & (mmu::PageBytes - 1)));
+        for (uint32_t off = 0; i < end; ++i, ++off)
+            v |= static_cast<uint64_t>(
+                     memsys_.memory().readByte(*pa + off))
+                 << (8 * i);
     }
     return v;
 }
@@ -1200,11 +1199,19 @@ Ebox::backdoorWrite(VAddr va, uint32_t n, uint64_t v)
         memsys_.memory().write(va, n, v);
         return;
     }
-    for (uint32_t i = 0; i < n; ++i) {
-        auto pa = mmu::walk(memsys_.memory(), map_, va + i);
+    // Once per page, as in backdoorRead; a page run is stored before
+    // the next page is translated, so a write that runs into an
+    // unmapped page leaves the bytes before it written.
+    for (uint32_t i = 0; i < n;) {
+        const VAddr at = va + i;
+        auto pa = mmu::walk(memsys_.memory(), map_, at);
         if (!pa)
-            sim_throw(GuestError, "backdoor write of unmapped VA 0x%08x", va + i);
-        memsys_.memory().writeByte(*pa, static_cast<uint8_t>(v >> (8 * i)));
+            sim_throw(GuestError, "backdoor write of unmapped VA 0x%08x", at);
+        const uint32_t end =
+            std::min(n, i + mmu::PageBytes - (at & (mmu::PageBytes - 1)));
+        for (uint32_t off = 0; i < end; ++i, ++off)
+            memsys_.memory().writeByte(*pa + off,
+                                       static_cast<uint8_t>(v >> (8 * i)));
     }
 }
 

@@ -88,8 +88,47 @@ class Ebox
     /** Reset to begin execution at @p pc. */
     void reset(VAddr pc, bool map_enabled);
 
-    /** Advance one machine cycle. */
-    CycleOut cycle(uint64_t now);
+    /**
+     * Advance one machine cycle, then classify it into the obs counter
+     * fabric *after* its CycleOut is final — the same post-cycle
+     * instant the monitor observes it — so mid-cycle monitor gating
+     * (the OS-assist switch hook) affects both bookkeepings alike.
+     */
+    CycleOut
+    cycle(uint64_t now)
+    {
+        obsEv_ = obs::CycleEvents{};
+        CycleOut out = cycleInner(now);
+        obs::emitCycle(obsEv_, out.stalled);
+        return out;
+    }
+
+    /**
+     * Stall-window probe: the number of read/write-stall cycles still
+     * to come at the stalled microinstruction's address. Each is a
+     * cycle() that only decrements the count, so a window of them can
+     * advance in one step (advanceStall). Zero when halted or with a
+     * fault injector attached (it is consulted every cycle).
+     */
+    uint64_t
+    stallWindow() const
+    {
+        return halted_ || fault_ ? 0 : stallRemaining_;
+    }
+
+    /**
+     * Run @p n (≤ stallWindow()) stall cycles at once, ending at cycle
+     * @p last: exactly n cycle() calls, counted as n stall cycles.
+     * Returns the stalled address, the upc of every one of them.
+     */
+    ucode::UAddr
+    advanceStall(uint64_t n, uint64_t last)
+    {
+        now_ = last;
+        stallRemaining_ -= n;
+        obs::count(obs::Ev::EboxStallCycles, n);
+        return upc_;
+    }
 
     /**
      * Micro-trace cache probe: the number of consecutive pure-padding
@@ -118,6 +157,33 @@ class Ebox
         ucode::UAddr a = upc_;
         ++upc_;
         return {a, false, false};
+    }
+
+    /**
+     * IB-stall window probe: true when the cycle just run was an
+     * IB-stall cycle — its word wants I-stream bytes the IB lacks.
+     * Such a cycle reads only the IB's byte count and TB-miss flag and
+     * changes no EBOX state that the next cycle reads differently, so
+     * while the IB is quiet every following cycle is the same stall at
+     * the same address. Not if the fill engine hit a TB miss after the
+     * EBOX looked (the next cycle traps on it), nor with a fault
+     * injector attached.
+     */
+    bool
+    ibStallRepeats() const
+    {
+        return obsEv_.ibStall && !fault_ && !ibox_.tbMissPending();
+    }
+
+    /**
+     * Run @p n more IB-stall cycles like the last one, ending at cycle
+     * @p last: exactly n cycle() calls, counted as n IB-stall cycles.
+     */
+    void
+    advanceIbStall(uint64_t n, uint64_t last)
+    {
+        now_ = last;
+        obs::count(obs::Ev::EboxIbStallCycles, n);
     }
 
     // ----- architectural state ------------------------------------------
@@ -245,13 +311,7 @@ class Ebox
     enum class TrapKind : uint8_t { None, TbMissD, TbMissI };
 
     // ----- cycle machinery -------------------------------------------------
-    /**
-     * cycle() body. The public cycle() wraps it to classify the
-     * finished cycle into the obs counter fabric *after* the CycleOut
-     * is final — the same post-cycle instant the monitor probe
-     * observes — so mid-cycle monitor gating (the OS-assist switch
-     * hook) affects both bookkeepings identically.
-     */
+    /** cycle() body, before the obs classification. */
     CycleOut cycleInner(uint64_t now);
     /** Threaded dispatch: jump to the decoded row's form. */
     CycleOut runCycleDecoded(uint64_t now);

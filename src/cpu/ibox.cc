@@ -26,22 +26,10 @@ IBox::redirect(VAddr pc)
     obs::count(obs::Ev::IbRedirects);
 }
 
-uint8_t
-IBox::peek(uint32_t i) const
-{
-    if (i >= count_)
-        panic("IB peek(%u) with %u bytes buffered", i, count_);
-    return buf_[i];
-}
-
 void
-IBox::consume(uint32_t n)
+IBox::overrun(const char *what, uint32_t n) const
 {
-    if (n > count_)
-        panic("IB consume(%u) with %u bytes buffered", n, count_);
-    for (uint32_t i = 0; i + n < count_; ++i)
-        buf_[i] = buf_[i + n];
-    count_ -= n;
+    panic("IB %s(%u) with %u bytes buffered", what, n, count_);
 }
 
 void
@@ -51,10 +39,8 @@ IBox::clearTbMiss()
 }
 
 void
-IBox::deliver(uint64_t now)
+IBox::acceptFill()
 {
-    if (!fillPending_ || now < fillReadyAt_)
-        return;
     fillPending_ = false;
 
     // Accept as many of the arrived longword's bytes as there is room
@@ -71,15 +57,8 @@ IBox::deliver(uint64_t now)
 }
 
 void
-IBox::startFill(uint64_t now)
+IBox::issueFill(uint64_t now)
 {
-    if (justRedirected_) {
-        justRedirected_ = false;
-        return;
-    }
-    if (fillPending_ || tbMiss_ || count_ >= Capacity)
-        return;
-
     arch::PAddr pa = fetchVa_;
     if (mapEnabled_) {
         if (!tb_.lookup(fetchVa_, true, pa)) {

@@ -45,22 +45,70 @@ class IBox
     void setMapEnable(bool on) { mapEnabled_ = on; }
 
     /** Accept any arrived fill data. Call at the start of each cycle. */
-    void deliver(uint64_t now);
+    void
+    deliver(uint64_t now)
+    {
+        if (fillPending_ && now >= fillReadyAt_)
+            acceptFill();
+    }
 
     /**
      * Issue a new fill reference if a slot is empty and no fill or TB
      * miss is outstanding. Call at the end of each cycle.
      */
-    void startFill(uint64_t now);
+    void
+    startFill(uint64_t now)
+    {
+        if (justRedirected_) {
+            justRedirected_ = false;
+            return;
+        }
+        if (fillPending_ || tbMiss_ || count_ >= Capacity)
+            return;
+        issueFill(now);
+    }
+
+    /**
+     * How many of the up to @p max cycles starting at @p now leave the
+     * IB untouched while the EBOX takes no bytes from it: deliver() and
+     * startFill() are both no-ops while a fill is in flight and not yet
+     * due, or while the buffer is full or blocked on a TB miss.
+     */
+    uint64_t
+    quietCycles(uint64_t now, uint64_t max) const
+    {
+        if (justRedirected_)
+            return 0;
+        if (fillPending_) {
+            if (fillReadyAt_ <= now)
+                return 0;
+            return fillReadyAt_ - now < max ? fillReadyAt_ - now : max;
+        }
+        return tbMiss_ || count_ >= Capacity ? max : 0;
+    }
 
     /** Buffered byte count. */
     uint32_t available() const { return count_; }
 
     /** Peek buffered byte @p i (i < available()). */
-    uint8_t peek(uint32_t i) const;
+    uint8_t
+    peek(uint32_t i) const
+    {
+        if (i >= count_)
+            overrun("peek", i);
+        return buf_[i];
+    }
 
     /** Consume @p n buffered bytes. */
-    void consume(uint32_t n);
+    void
+    consume(uint32_t n)
+    {
+        if (n > count_)
+            overrun("consume", n);
+        for (uint32_t i = 0; i + n < count_; ++i)
+            buf_[i] = buf_[i + n];
+        count_ -= n;
+    }
 
     /** True if fetching is blocked on an I-stream TB miss. */
     bool tbMissPending() const { return tbMiss_; }
@@ -79,6 +127,14 @@ class IBox
     /** The checkpoint field list, both directions (common/serial.hh). */
     template <class Self, class Ar>
     static void walk(Self &s, Ar &ar);
+
+    /** Panic: @p what asked for @p n bytes with fewer buffered. */
+    [[noreturn]] void overrun(const char *what, uint32_t n) const;
+
+    /** deliver()'s work once the pending fill is due. */
+    void acceptFill();
+    /** startFill()'s work once a fill can go out. */
+    void issueFill(uint64_t now);
 
     mem::MemorySubsystem &memsys_;
     mmu::TranslationBuffer &tb_;

@@ -1,7 +1,5 @@
 #include "cpu/vax780.hh"
 
-#include <algorithm>
-
 #include "common/serial.hh"
 #include "fault/fault.hh"
 
@@ -90,37 +88,21 @@ Vax780::acknowledge(uint32_t level)
     }
 }
 
+void
+Vax780::deliverFaults()
+{
+    fault_->setNow(cycles_);
+    // Fault events detected by the memory/TB/CS hardware raise
+    // machine checks, delivered at the next instruction boundary.
+    while (fault_->mcheckPending())
+        ebox_.raiseMachineCheck(fault_->takeMcheck());
+}
+
 bool
 Vax780::tick()
 {
-    if (fault_) {
-        fault_->setNow(cycles_);
-        // Fault events detected by the memory/TB/CS hardware raise
-        // machine checks, delivered at the next instruction boundary.
-        while (fault_->mcheckPending())
-            ebox_.raiseMachineCheck(fault_->takeMcheck());
-    }
-
-    // Deliver any I-stream fill that completed.
-    ibox_.deliver(cycles_);
-
-    // The EBOX consumes one cycle.
-    CycleOut out = ebox_.cycle(cycles_);
-
-    // Passive monitors observe the micro-PC and stall state.
-    for (CycleProbe *p : probes_)
-        p->cycle(out.upc, out.stalled);
-
-    // The I-Fetch engine issues a new reference if a byte is free;
-    // it runs concurrently with EBOX stalls.
-    ibox_.startFill(cycles_);
-
-    // Devices advance.
-    for (Device *d : devices_)
-        d->tick(cycles_);
-
-    ++cycles_;
-    return !out.halted;
+    NoFixedProbes none;
+    return !step(none).halted;
 }
 
 uint64_t
@@ -128,7 +110,7 @@ Vax780::run(uint64_t max_cycles)
 {
     uint64_t n = 0;
     while (n < max_cycles) {
-        uint64_t ran = runBatch(max_cycles - n, false);
+        uint64_t ran = runBatch(max_cycles - n);
         n += ran;
         if (ran == 0 || ebox_.halted())
             break;
@@ -137,42 +119,10 @@ Vax780::run(uint64_t max_cycles)
 }
 
 uint64_t
-Vax780::runBatch(uint64_t budget, bool stop_at_instruction)
+Vax780::runBatch(uint64_t budget, uint64_t max_instructions)
 {
-    uint64_t done = 0;
-    const uint64_t insns = ebox_.instructions();
-    while (done < budget) {
-        // Micro-trace cache: a validated run of pad words needs no
-        // dispatch, no IB bytes and no datapath work — only the
-        // per-cycle machine plumbing and the uop-cycle count. Pads
-        // cannot halt, trap, stall, retire or raise events, so the
-        // probe/counter streams below are exactly what tick() emits.
-        uint64_t pads = ebox_.padRun();
-        if (pads > 0) {
-            if (pads > budget - done)
-                pads = budget - done;
-            for (uint64_t i = 0; i < pads; ++i) {
-                ibox_.deliver(cycles_);
-                CycleOut out = ebox_.padCycle();
-                for (CycleProbe *p : probes_)
-                    p->cycle(out.upc, false);
-                ibox_.startFill(cycles_);
-                for (Device *d : devices_)
-                    d->tick(cycles_);
-                ++cycles_;
-            }
-            obs::emitPadCycles(pads);
-            done += pads;
-            continue;
-        }
-
-        if (!tick())
-            return done;  // the halting cycle is not counted, as in run()
-        ++done;
-        if (stop_at_instruction && ebox_.instructions() != insns)
-            return done;
-    }
-    return done;
+    NoFixedProbes none;
+    return runBatch(none, budget, max_instructions);
 }
 
 template <class Self, class Ar>

@@ -10,6 +10,7 @@
 #ifndef UPC780_CPU_VAX780_HH
 #define UPC780_CPU_VAX780_HH
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -33,6 +34,31 @@ class CycleProbe
   public:
     virtual ~CycleProbe() = default;
     virtual void cycle(ucode::UAddr upc, bool stalled) = 0;
+
+    /**
+     * @p n consecutive cycles at one address, all stalled or none: a
+     * read/write-stall or IB-stall window the machine advances in one
+     * step. Must leave the probe as n cycle() calls would; the default
+     * is that loop.
+     */
+    virtual void
+    cycles(ucode::UAddr upc, bool stalled, uint64_t n)
+    {
+        for (uint64_t i = 0; i < n; ++i)
+            cycle(upc, stalled);
+    }
+};
+
+/**
+ * The fixed probe set of a machine with none: what tick() and the
+ * plain runBatch() fuse into the cycle. A fixed set is any type with
+ * these two members; Vax780::runBatch(fixed, ...) calls them inline,
+ * before the attached (virtual) probes, every cycle.
+ */
+struct NoFixedProbes
+{
+    void cycle(ucode::UAddr, bool) {}
+    void cycles(ucode::UAddr, bool, uint64_t) {}
 };
 
 /** A bus device that can request interrupts. */
@@ -40,7 +66,15 @@ class Device
 {
   public:
     virtual ~Device() = default;
-    /** Advance device state to @p now (called every machine cycle). */
+    /**
+     * Advance device state to @p now. Called every machine cycle,
+     * except inside a stall window: the CPU reads no device while it
+     * is read/write-stalled or waiting for I-stream bytes, so a window
+     * of n such cycles ending at cycle `last` makes one tick(last) call
+     * in place of n. tick(last) must therefore leave the state that
+     * the n calls would (the interval timer and the RTE terminal only
+     * compare or latch @p now, so for them one call equals n).
+     */
     virtual void tick(uint64_t now) = 0;
     /** Interrupt request: fill level/vector if requesting. */
     virtual bool requesting(uint32_t &level, uint32_t &vector) = 0;
@@ -99,24 +133,48 @@ class Vax780 : public InterruptController
   public:
     explicit Vax780(const MachineConfig &config = MachineConfig{});
 
-    /** One machine cycle. Returns false once halted. */
+    /**
+     * One machine cycle, every step of it: the reference the batched
+     * runBatch() is held to. Returns false once halted.
+     */
     bool tick();
 
     /** Run until halted or @p max_cycles elapse. */
     uint64_t run(uint64_t max_cycles);
 
+    /** No instruction limit for runBatch(). */
+    static constexpr uint64_t AnyInstructions = ~uint64_t{0};
+
     /**
-     * Run up to @p budget cycles. Under threaded dispatch a pad
-     * superblock runs as one loop without per-cycle dispatch, but
-     * every cycle still performs the full tick sequence (IB delivery,
-     * probes, IB fill, devices), so the architected state, counter
-     * totals and event streams are bit-identical to tick()-stepping.
-     * Stops early once halted, or (with @p stop_at_instruction) as
-     * soon as the retired-instruction count changes, so callers can
-     * re-evaluate per-instruction conditions exactly. Returns cycles
-     * run; the halting cycle itself is not counted (as in run()).
+     * Run up to @p budget cycles, leaving exactly the state
+     * tick()-stepping leaves. Two kinds of cycle take shortcuts:
+     *  - under threaded dispatch a pad superblock runs as one loop
+     *    without per-cycle dispatch (each cycle still delivers IB
+     *    data, feeds the probes, starts fills and ticks devices);
+     *  - a stall window advances in one step while the IB is quiet
+     *    (see IBox::quietCycles) and no fault injector is attached:
+     *    the rest of a read/write stall (Ebox::stallWindow), or the
+     *    repeats of an IB-stall cycle (Ebox::ibStallRepeats). Either
+     *    is n counts to one bucket, one cycles(upc, stalled, n) per
+     *    probe and one device tick.
+     * Stops early once halted, or at the cycle that retires the
+     * batch's @p max_instructions-th instruction, so callers can
+     * re-evaluate per-instruction conditions exactly without stopping
+     * at every retire. Returns cycles run; the halting cycle itself is
+     * not counted (as in run()).
      */
-    uint64_t runBatch(uint64_t budget, bool stop_at_instruction);
+    uint64_t runBatch(uint64_t budget,
+                      uint64_t max_instructions = AnyInstructions);
+
+    /**
+     * runBatch() with a fixed probe set @p fixed (see NoFixedProbes)
+     * called inline every cycle ahead of the attached probes. The body
+     * is defined below so that a caller with a fixed set instantiates
+     * it: sim::WorkloadRun fuses its monitor and watchdog this way.
+     */
+    template <class Fixed>
+    uint64_t runBatch(Fixed &fixed, uint64_t budget,
+                      uint64_t max_instructions);
 
     uint64_t cycles() const { return cycles_; }
 
@@ -128,7 +186,12 @@ class Vax780 : public InterruptController
     mem::MemorySubsystem &memsys() { return memsys_; }
     mmu::TranslationBuffer &tb() { return tb_; }
 
-    /** Attach a passive per-cycle probe (multiple allowed). */
+    /**
+     * Attach a passive per-cycle probe (multiple allowed): the
+     * optional ones, such as an InstrTracer. Each is a virtual call
+     * per cycle; a harness that always runs a probe fuses it into
+     * runBatch() as a fixed set instead.
+     */
     void attachProbe(CycleProbe *p) { probes_.push_back(p); }
     void detachProbe(CycleProbe *p);
 
@@ -162,6 +225,22 @@ class Vax780 : public InterruptController
     template <class Self, class Ar>
     static void walk(Self &s, Ar &ar);
 
+    /** One whole cycle, @p fixed fused in: tick()'s body. */
+    template <class Fixed>
+    [[gnu::always_inline]] inline CycleOut step(Fixed &fixed);
+
+    /**
+     * The rest of a window of @p n cycles, all at @p upc and all
+     * stalled or none, whose EBOX side is already advanced: the probes
+     * see n cycles at once, devices one tick at its last cycle.
+     */
+    template <class Fixed>
+    [[gnu::always_inline]] inline void
+    window(Fixed &fixed, ucode::UAddr upc, bool stalled, uint64_t n);
+
+    /** Hand the injector's pending machine checks to the EBOX. */
+    void deliverFaults();
+
     mem::MemorySubsystem memsys_;
     mmu::TranslationBuffer tb_;
     IBox ibox_;
@@ -172,6 +251,115 @@ class Vax780 : public InterruptController
     fault::FaultInjector *fault_ = nullptr;
     uint64_t cycles_ = 0;
 };
+
+template <class Fixed>
+CycleOut
+Vax780::step(Fixed &fixed)
+{
+    if (fault_)
+        deliverFaults();
+
+    // Deliver any I-stream fill that completed.
+    ibox_.deliver(cycles_);
+
+    // The EBOX consumes one cycle.
+    const CycleOut out = ebox_.cycle(cycles_);
+
+    // Passive monitors observe the micro-PC and stall state.
+    fixed.cycle(out.upc, out.stalled);
+    for (CycleProbe *p : probes_)
+        p->cycle(out.upc, out.stalled);
+
+    // The I-Fetch engine issues a new reference if a byte is free;
+    // it runs concurrently with EBOX stalls.
+    ibox_.startFill(cycles_);
+
+    // Devices advance.
+    for (Device *d : devices_)
+        d->tick(cycles_);
+
+    ++cycles_;
+    return out;
+}
+
+template <class Fixed>
+void
+Vax780::window(Fixed &fixed, ucode::UAddr upc, bool stalled, uint64_t n)
+{
+    fixed.cycles(upc, stalled, n);
+    for (CycleProbe *p : probes_)
+        p->cycles(upc, stalled, n);
+    cycles_ += n;
+    for (Device *d : devices_)
+        d->tick(cycles_ - 1);
+}
+
+template <class Fixed>
+uint64_t
+Vax780::runBatch(Fixed &fixed, uint64_t budget, uint64_t max_instructions)
+{
+    uint64_t done = 0;
+    const uint64_t insns = ebox_.instructions();
+    while (done < budget) {
+        // Micro-trace cache: a validated run of pad words needs no
+        // dispatch, no IB bytes and no datapath work — only the
+        // per-cycle machine plumbing and the uop-cycle count. Pads
+        // cannot halt, trap, stall, retire or raise events, so the
+        // probe/counter streams below are exactly what tick() emits.
+        uint64_t pads = ebox_.padRun();
+        if (pads > 0) {
+            if (pads > budget - done)
+                pads = budget - done;
+            for (uint64_t i = 0; i < pads; ++i) {
+                ibox_.deliver(cycles_);
+                const CycleOut out = ebox_.padCycle();
+                fixed.cycle(out.upc, false);
+                for (CycleProbe *p : probes_)
+                    p->cycle(out.upc, false);
+                ibox_.startFill(cycles_);
+                for (Device *d : devices_)
+                    d->tick(cycles_);
+                ++cycles_;
+            }
+            obs::emitPadCycles(pads);
+            done += pads;
+            continue;
+        }
+
+        // Stall window: the EBOX sits at one address counting stalls
+        // (paper §4.3 — the board adds n to one bucket), the IB has
+        // nothing to deliver or fetch, and no device is read, so the
+        // whole window is one step. It cannot retire an instruction.
+        if (uint64_t n = ebox_.stallWindow(); n > 1) {
+            n = ibox_.quietCycles(cycles_, std::min(n, budget - done));
+            if (n > 1) {
+                const ucode::UAddr upc =
+                    ebox_.advanceStall(n, cycles_ + n - 1);
+                window(fixed, upc, true, n);
+                done += n;
+                continue;
+            }
+        }
+
+        const CycleOut out = step(fixed);
+        if (out.halted)
+            return done;  // the halting cycle is not counted, as in run()
+        ++done;
+        if (ebox_.instructions() - insns >= max_instructions)
+            return done;
+
+        // IB-stall window: that cycle waited for I-stream bytes, and
+        // until the IB changes every next cycle repeats it exactly.
+        if (ebox_.ibStallRepeats() && done < budget) {
+            if (const uint64_t n = ibox_.quietCycles(cycles_, budget - done)) {
+                ebox_.advanceIbStall(n, cycles_ + n - 1);
+                window(fixed, out.upc, false, n);
+                done += n;
+            }
+        }
+    }
+    return done;
+}
 
 } // namespace upc780::cpu
 

@@ -28,43 +28,10 @@ PhysicalMemory::fillCheck(PAddr pa)
 }
 
 void
-PhysicalMemory::check(PAddr pa, uint32_t n) const
+PhysicalMemory::beyond(PAddr pa, uint32_t n) const
 {
-    if (pa + n > data_.size() || pa + n < pa)
-        panic("physical access 0x%08x size %u beyond memory (%zu bytes)",
-              pa, n, data_.size());
-}
-
-uint8_t
-PhysicalMemory::readByte(PAddr pa) const
-{
-    check(pa, 1);
-    return data_[pa];
-}
-
-void
-PhysicalMemory::writeByte(PAddr pa, uint8_t v)
-{
-    check(pa, 1);
-    data_[pa] = v;
-}
-
-uint64_t
-PhysicalMemory::read(PAddr pa, uint32_t n) const
-{
-    check(pa, n);
-    uint64_t v = 0;
-    for (uint32_t i = 0; i < n; ++i)
-        v |= static_cast<uint64_t>(data_[pa + i]) << (8 * i);
-    return v;
-}
-
-void
-PhysicalMemory::write(PAddr pa, uint32_t n, uint64_t v)
-{
-    check(pa, n);
-    for (uint32_t i = 0; i < n; ++i)
-        data_[pa + i] = static_cast<uint8_t>(v >> (8 * i));
+    panic("physical access 0x%08x size %u beyond memory (%zu bytes)",
+          pa, n, data_.size());
 }
 
 void

@@ -38,14 +38,39 @@ class PhysicalMemory
 
     uint32_t size() const { return static_cast<uint32_t>(data_.size()); }
 
-    uint8_t readByte(PAddr pa) const;
-    void writeByte(PAddr pa, uint8_t v);
+    uint8_t
+    readByte(PAddr pa) const
+    {
+        check(pa, 1);
+        return data_[pa];
+    }
+
+    void
+    writeByte(PAddr pa, uint8_t v)
+    {
+        check(pa, 1);
+        data_[pa] = v;
+    }
 
     /** Little-endian read of @p n bytes (1..8), any alignment. */
-    uint64_t read(PAddr pa, uint32_t n) const;
+    uint64_t
+    read(PAddr pa, uint32_t n) const
+    {
+        check(pa, n);
+        uint64_t v = 0;
+        for (uint32_t i = 0; i < n; ++i)
+            v |= static_cast<uint64_t>(data_[pa + i]) << (8 * i);
+        return v;
+    }
 
     /** Little-endian write of @p n bytes (1..8), any alignment. */
-    void write(PAddr pa, uint32_t n, uint64_t v);
+    void
+    write(PAddr pa, uint32_t n, uint64_t v)
+    {
+        check(pa, n);
+        for (uint32_t i = 0; i < n; ++i)
+            data_[pa + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
 
     /** Copy a block into memory (workload image loading). */
     void load(PAddr pa, const uint8_t *src, uint32_t n);
@@ -78,7 +103,14 @@ class PhysicalMemory
     void deserialize(ByteReader &r);
 
   private:
-    void check(PAddr pa, uint32_t n) const;
+    void
+    check(PAddr pa, uint32_t n) const
+    {
+        if (pa + n > data_.size() || pa + n < pa)
+            beyond(pa, n);
+    }
+    /** Panic: an access of @p n bytes at @p pa past the end. */
+    [[noreturn]] void beyond(PAddr pa, uint32_t n) const;
 
     std::vector<uint8_t> data_;
     fault::FaultInjector *fault_ = nullptr;

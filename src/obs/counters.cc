@@ -100,46 +100,6 @@ writeCounterTable(const Snapshot &s)
     return out;
 }
 
-void
-emitCycle(const CycleEvents &ev, bool stalled)
-{
-    CounterRegistry *r = counters();
-    if (!r)
-        return;
-    if (stalled) {
-        r->bump(Ev::EboxStallCycles);
-        return;
-    }
-    if (ev.halt) {
-        r->bump(Ev::EboxHaltCycles);
-        return;
-    }
-    if (ev.abort) {
-        r->bump(Ev::EboxAborts);
-        if (ev.tbMissD)
-            r->bump(Ev::TbMissServicesD);
-        if (ev.tbMissI)
-            r->bump(Ev::TbMissServicesI);
-        return;
-    }
-    if (ev.ibStall) {
-        r->bump(Ev::EboxIbStallCycles);
-        return;
-    }
-    // A counted (executed) microinstruction.
-    r->bump(Ev::EboxUops);
-    if (ev.decode)
-        r->bump(Ev::IboxDecodes);
-    if (ev.memRead)
-        r->bump(Ev::EboxMemReadCycles);
-    if (ev.memWrite)
-        r->bump(Ev::EboxMemWriteCycles);
-    if (ev.irq)
-        r->bump(Ev::IrqDispatches);
-    if (ev.mcheck)
-        r->bump(Ev::MachineChecks);
-}
-
 template <class Self, class Ar>
 void
 CounterRegistry::walk(Self &s, Ar &ar)

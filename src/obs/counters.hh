@@ -266,7 +266,45 @@ count(Ev e, uint64_t n)
 }
 
 /** Classify one finished EBOX cycle into the current scope, if any. */
-void emitCycle(const CycleEvents &ev, bool stalled);
+inline void
+emitCycle(const CycleEvents &ev, bool stalled)
+{
+    CounterRegistry *r = counters();
+    if (!r)
+        return;
+    if (stalled) {
+        r->bump(Ev::EboxStallCycles);
+        return;
+    }
+    if (ev.halt) {
+        r->bump(Ev::EboxHaltCycles);
+        return;
+    }
+    if (ev.abort) {
+        r->bump(Ev::EboxAborts);
+        if (ev.tbMissD)
+            r->bump(Ev::TbMissServicesD);
+        if (ev.tbMissI)
+            r->bump(Ev::TbMissServicesI);
+        return;
+    }
+    if (ev.ibStall) {
+        r->bump(Ev::EboxIbStallCycles);
+        return;
+    }
+    // A counted (executed) microinstruction.
+    r->bump(Ev::EboxUops);
+    if (ev.decode)
+        r->bump(Ev::IboxDecodes);
+    if (ev.memRead)
+        r->bump(Ev::EboxMemReadCycles);
+    if (ev.memWrite)
+        r->bump(Ev::EboxMemWriteCycles);
+    if (ev.irq)
+        r->bump(Ev::IrqDispatches);
+    if (ev.mcheck)
+        r->bump(Ev::MachineChecks);
+}
 
 /**
  * Classify @p n pad cycles (executed nop microinstructions, no flags,

@@ -263,11 +263,10 @@ WorkloadRun::WorkloadRun(const ExperimentConfig &cfg,
         });
     }
 
-    machine_->attachProbe(&monitor_);
-
+    // The monitor and the watchdog are not attached: run() fuses them
+    // into the machine's run loop (RunProbes).
     watchdog_ = std::make_unique<Watchdog>(machine_->microcode(),
                                            cfg_.watchdogIntervalCycles);
-    machine_->attachProbe(watchdog_.get());
 
     vms_->setSwitchHook([this](int, bool is_idle) {
         inIdle_ = is_idle;
@@ -376,14 +375,19 @@ WorkloadRun::batchBudget() const
 {
     // 4096 cycles ≈ the liveness stride: long enough to amortize the
     // batch plumbing, short enough that cancellation and the watchdog
-    // stay responsive.
+    // stay responsive. Batches end on a fixed grid of its multiples,
+    // not 4096 cycles after the last loopTop, so the cycle a wedge is
+    // caught at does not depend on when instructions last retired.
     constexpr uint64_t MaxBatch = 4096;
     const uint64_t now = machine_->cycles();
-    uint64_t next = now + MaxBatch;
+    uint64_t next = (now / MaxBatch + 1) * MaxBatch;
     auto cap = [&](uint64_t c) {
         if (c > now && c < next)
             next = c;
     };
+    // The cycle-limit checks in run() fire at the first cycle past the
+    // limit.
+    cap((phase_ == Phase::Warmup ? 0 : cyclesAtStart_) + maxCycles_ + 1);
     if (cfg_.checkpoint.enabled()) {
         if (cfg_.checkpoint.everyCycles)
             cap(periodicNext_);
@@ -396,6 +400,16 @@ WorkloadRun::batchBudget() const
         cap(injections_[injectIdx_].cycle);
     cap(livenessCheckAt_);
     return next - now;
+}
+
+uint64_t
+WorkloadRun::retireBudget(uint64_t remaining) const
+{
+    // A liveness probe is overdue only before a run's first check. The
+    // per-instruction loop made that check at the first retire, and
+    // the probe schedule it starts is checkpointed state, so the first
+    // batch stops there too.
+    return machine_->cycles() >= livenessCheckAt_ ? 1 : remaining;
 }
 
 void
@@ -594,19 +608,25 @@ WorkloadResult
 WorkloadRun::run()
 {
     obs::ObsScope scope(&registry_, tracer_.get());
-    // Both loops advance the machine through Vax780::runBatch with
-    // stop_at_instruction set: the loop conditions below can only
-    // change at instruction-retire cycles, every cycle-scheduled
-    // trigger is a batch boundary (batchBudget), and pads batch through
-    // the micro-trace cache — so the trajectory is bit-identical to the
-    // historical one-tick-per-iteration loop while the harness runs
-    // per retire/trigger instead of per cycle.
+    RunProbes probes{monitor_, *watchdog_};
+    // Both loops advance the machine through runBatch with the monitor
+    // and watchdog fused in. Each batch stops at the retire that could
+    // first end its loop: the warm-up count moves by one per retire,
+    // and the decode bucket by at most one (none while the monitor is
+    // gated off), so neither loop can end before `remaining` retires.
+    // Every cycle-scheduled trigger is a batch boundary (batchBudget),
+    // and pads and stall windows batch inside the machine — so the
+    // trajectory is bit-identical to the historical
+    // one-tick-per-iteration loop while the harness runs a few times
+    // per 4096 cycles instead of once per cycle.
     if (phase_ == Phase::Warmup) {
         obs::ScopedTimer t(host_, obs::Phase::Warmup);
         while (machine_->ebox().instructions() <
                cfg_.warmupInstructions) {
             loopTop("warm-up");
-            machine_->runBatch(batchBudget(), true);
+            machine_->runBatch(probes, batchBudget(),
+                     retireBudget(cfg_.warmupInstructions -
+                                  machine_->ebox().instructions()));
             if (machine_->ebox().halted())
                 sim_throw(GuestError, "machine halted during warm-up");
             if (machine_->cycles() > maxCycles_)
@@ -623,7 +643,9 @@ WorkloadRun::run()
         while (monitor_.histogram().count(decodeAddr_) <
                cfg_.instructionsPerWorkload) {
             loopTop("measurement");
-            machine_->runBatch(batchBudget(), true);
+            machine_->runBatch(probes, batchBudget(),
+                     retireBudget(cfg_.instructionsPerWorkload -
+                                  monitor_.histogram().count(decodeAddr_)));
             if (machine_->ebox().halted())
                 sim_throw(GuestError,
                           "machine halted during measurement");

@@ -68,6 +68,34 @@ void auditAttribution(const ucode::MicrocodeImage &image,
                       const obs::Snapshot &counters, bool countersEnabled,
                       const std::string &workload);
 
+/**
+ * The fixed probe set of a workload run: the UPC board and the
+ * watchdog, fused into Vax780::runBatch so that both are inline calls
+ * every cycle rather than attached virtual probes. Both observe the
+ * same (upc, stalled) pair and a stall window as n cycles at once.
+ * WorkloadRun::run drives its machine with
+ * `machine.runBatch(probes, budget, max_instructions)`.
+ */
+struct RunProbes
+{
+    upc::UpcMonitor &monitor;
+    Watchdog &watchdog;
+
+    void
+    cycle(ucode::UAddr upc, bool stalled)
+    {
+        monitor.cycle(upc, stalled);
+        watchdog.cycle(upc, stalled);
+    }
+
+    void
+    cycles(ucode::UAddr upc, bool stalled, uint64_t n)
+    {
+        monitor.cycles(upc, stalled, n);
+        watchdog.cycles(upc, stalled, n);
+    }
+};
+
 /** A single workload measurement, checkpointable and resumable. */
 class WorkloadRun
 {
@@ -117,13 +145,21 @@ class WorkloadRun
     /** Per-iteration preamble: checkpoint, chaos crash, injections. */
     void loopTop(const char *where);
     /**
-     * Cycle budget for one Vax780::runBatch call: the distance to the
-     * nearest cycle-scheduled trigger (checkpoint, chaos crash, fault
-     * injection, liveness probe), capped so watchdog/cancel latency
-     * stays bounded. Every trigger cycle lands exactly on a loopTop,
-     * which keeps batched runs bit-identical to tick()-stepped ones.
+     * Cycle budget for one runBatch call: the distance to the nearest
+     * cycle-scheduled trigger (checkpoint, chaos crash, fault
+     * injection, liveness probe, the first cycle past the cycle
+     * limit), and at most to the next multiple of 4096 cycles, so
+     * watchdog/cancel latency stays bounded. Every trigger cycle lands
+     * exactly on a loopTop, which keeps batched runs bit-identical to
+     * tick()-stepped ones.
      */
     uint64_t batchBudget() const;
+    /**
+     * Instructions the next runBatch call may retire, given that
+     * @p remaining more end the current loop: the batch stops at the
+     * retire where the loop condition is next worth re-evaluating.
+     */
+    uint64_t retireBudget(uint64_t remaining) const;
     void saveCheckpoint();
     void beginMeasurement();
     void checkStuck(const char *where);

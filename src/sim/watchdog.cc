@@ -16,25 +16,6 @@ Watchdog::Watchdog(const ucode::MicrocodeImage &image,
         sim_throw(ConfigError, "watchdog thresholds must be nonzero");
 }
 
-void
-Watchdog::cycle(ucode::UAddr upc, bool stalled)
-{
-    ++cycles_;
-    trace_[traceHead_] = {upc, stalled};
-    traceHead_ = (traceHead_ + 1) % TraceDepth;
-
-    if (stalled) {
-        ++stallStreak_;
-    } else {
-        stallStreak_ = 0;
-        lastCommittedUpc_ = upc;
-        if (upc == img_.marks.decode) {
-            ++decodes_;
-            cyclesAtLastDecode_ = cycles_;
-        }
-    }
-}
-
 bool
 Watchdog::expired() const
 {

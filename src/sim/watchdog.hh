@@ -30,8 +30,12 @@ class ByteReader;
 namespace upc780::sim
 {
 
-/** Forward-progress monitor for simulation runs. */
-class Watchdog : public cpu::CycleProbe
+/**
+ * Forward-progress monitor for simulation runs. Final, with the probe
+ * calls inline, so WorkloadRun fuses it into Vax780::runBatch as a
+ * fixed probe and calls them directly.
+ */
+class Watchdog final : public cpu::CycleProbe
 {
   public:
     /** Ring-buffer depth of the diagnostic UPC trace. */
@@ -51,7 +55,36 @@ class Watchdog : public cpu::CycleProbe
                       uint64_t max_stall_run = 100000);
 
     // ----- passive probe ---------------------------------------------------
-    void cycle(ucode::UAddr upc, bool stalled) override;
+    void
+    cycle(ucode::UAddr upc, bool stalled) override
+    {
+        cycles(upc, stalled, 1);
+    }
+
+    /**
+     * n cycles at @p upc: the counts grow by n, and the trace ring
+     * ends as n samples would leave it (its last min(n, TraceDepth)
+     * slots hold the sample).
+     */
+    void
+    cycles(ucode::UAddr upc, bool stalled, uint64_t n) override
+    {
+        cycles_ += n;
+        const uint64_t k = n < TraceDepth ? n : TraceDepth;
+        for (uint64_t i = n - k; i < n; ++i)
+            trace_[(traceHead_ + i) % TraceDepth] = {upc, stalled};
+        traceHead_ = static_cast<uint32_t>((traceHead_ + n) % TraceDepth);
+        if (stalled) {
+            stallStreak_ += n;
+            return;
+        }
+        stallStreak_ = 0;
+        lastCommittedUpc_ = upc;
+        if (upc == img_.marks.decode) {
+            decodes_ += n;
+            cyclesAtLastDecode_ = cycles_;
+        }
+    }
 
     /**
      * Poll for a stuck condition. Call periodically (each tick is

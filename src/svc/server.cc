@@ -36,31 +36,6 @@ sendLine(int fd, const std::string &line)
     return true;
 }
 
-/** Read one '\n'-terminated line (newline stripped); false on EOF
- *  before any byte or on error/overflow. A request larger than the
- *  JSON parser's own input cap is cut off here. */
-bool
-recvLine(int fd, std::string &line, size_t maxBytes = 8u << 20)
-{
-    line.clear();
-    char c;
-    for (;;) {
-        const ssize_t n = ::recv(fd, &c, 1, 0);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (n == 0)
-            return !line.empty(); // EOF can terminate the last line
-        if (c == '\n')
-            return true;
-        if (line.size() >= maxBytes)
-            return false;
-        line.push_back(c);
-    }
-}
-
 sockaddr_un
 makeAddr(const std::string &path)
 {
@@ -75,6 +50,42 @@ makeAddr(const std::string &path)
 }
 
 } // namespace
+
+LineReader::LineReader(int fd, size_t maxBytes)
+    : fd_(fd), maxBytes_(maxBytes)
+{
+}
+
+bool
+LineReader::next(std::string &line)
+{
+    line.clear();
+    for (;;) {
+        const char *begin = buf_ + pos_;
+        const size_t avail = len_ - pos_;
+        const char *nl =
+            static_cast<const char *>(std::memchr(begin, '\n', avail));
+        const size_t take = nl ? static_cast<size_t>(nl - begin) : avail;
+        if (line.size() + take > maxBytes_)
+            return false;
+        line.append(begin, take);
+        if (nl) {
+            pos_ += take + 1;
+            return true;
+        }
+        if (eof_)
+            return !line.empty(); // EOF can terminate the last line
+        pos_ = len_ = 0;
+        ssize_t n;
+        do {
+            n = ::recv(fd_, buf_, ChunkBytes, 0);
+        } while (n < 0 && errno == EINTR);
+        if (n < 0)
+            return false;
+        len_ = static_cast<size_t>(n);
+        eof_ = n == 0;
+    }
+}
 
 Server::Server(Daemon &daemon, std::string socketPath)
     : daemon_(daemon), path_(std::move(socketPath))
@@ -164,7 +175,7 @@ void
 Server::handleConnection(int fd)
 {
     std::string line;
-    if (!recvLine(fd, line)) {
+    if (!LineReader(fd).next(line)) {
         ::close(fd);
         return;
     }
@@ -220,8 +231,9 @@ requestOverSocket(const std::string &socketPath,
 
     // Every line with an "event" member is progress; the first line
     // without one is the reply and ends the exchange.
+    LineReader reader(fd);
     std::string line;
-    while (recvLine(fd, line)) {
+    while (reader.next(line)) {
         bool isEvent = false;
         try {
             isEvent = json::parse(line).find("event") != nullptr;

@@ -39,6 +39,40 @@
 namespace upc780::svc
 {
 
+/**
+ * Buffered reader of '\n'-framed lines from one stream socket: reads
+ * in chunks of up to ChunkBytes and hands out one line at a time, so a
+ * line costs a recv per chunk rather than per byte. One reader per
+ * connection; bytes past the line returned stay buffered for the next
+ * call, so lines that arrive together in one segment are all seen.
+ */
+class LineReader
+{
+  public:
+    static constexpr size_t ChunkBytes = 16u << 10;
+    /** Longest accepted line; a request larger than the JSON parser's
+     *  own input cap is cut off here. */
+    static constexpr size_t DefaultMaxBytes = 8u << 20;
+
+    explicit LineReader(int fd, size_t maxBytes = DefaultMaxBytes);
+
+    /**
+     * The next line, newline stripped. False on EOF before any byte of
+     * it, on a read error, or on a line longer than the cap (refused,
+     * not truncated). EOF may end the last line; reads interrupted by
+     * a signal are retried.
+     */
+    bool next(std::string &line);
+
+  private:
+    int fd_;
+    size_t maxBytes_;
+    char buf_[ChunkBytes];  //!< the last chunk read
+    size_t len_ = 0;        //!< bytes of it received
+    size_t pos_ = 0;        //!< first byte not yet handed out
+    bool eof_ = false;
+};
+
 /** Serves one Daemon on one Unix-domain socket. */
 class Server
 {

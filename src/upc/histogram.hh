@@ -38,8 +38,8 @@ class Histogram
         stalls_.fill(0);
     }
 
-    void bumpCount(UAddr a) { ++counts_[a]; }
-    void bumpStall(UAddr a) { ++stalls_[a]; }
+    void bumpCount(UAddr a, uint64_t n = 1) { counts_[a] += n; }
+    void bumpStall(UAddr a, uint64_t n = 1) { stalls_[a] += n; }
 
     uint64_t count(UAddr a) const { return counts_[a]; }
     uint64_t stall(UAddr a) const { return stalls_[a]; }

@@ -1,28 +1,9 @@
 #include "upc/monitor.hh"
 
 #include "common/serial.hh"
-#include "obs/counters.hh"
 
 namespace upc780::upc
 {
-
-void
-UpcMonitor::cycle(ucode::UAddr upc, bool stalled)
-{
-    if (!running_)
-        return;
-    ++observed_;
-    // The board's own view of the measurement window, counted into the
-    // obs fabric: upc.cycles must equal the histogram's bucket sum (the
-    // cycle-accounting audit) and upc.stall_cycles its stall total.
-    obs::count(obs::Ev::UpcCycles);
-    if (stalled) {
-        histogram_.bumpStall(upc);
-        obs::count(obs::Ev::UpcStallCycles);
-    } else {
-        histogram_.bumpCount(upc);
-    }
-}
 
 void
 UpcMonitor::writeCsr(uint16_t v)

@@ -17,13 +17,18 @@
 #include <cstdint>
 
 #include "cpu/vax780.hh"
+#include "obs/counters.hh"
 #include "upc/histogram.hh"
 
 namespace upc780::upc
 {
 
-/** The histogram count board plus its processor-specific interface. */
-class UpcMonitor : public cpu::CycleProbe
+/**
+ * The histogram count board plus its processor-specific interface.
+ * Final, with the probe calls inline, so a harness that fuses the
+ * board into Vax780::runBatch as a fixed probe calls them directly.
+ */
+class UpcMonitor final : public cpu::CycleProbe
 {
   public:
     UpcMonitor() = default;
@@ -45,7 +50,31 @@ class UpcMonitor : public cpu::CycleProbe
     uint64_t observedCycles() const { return observed_; }
 
     // ----- passive probe -------------------------------------------------
-    void cycle(ucode::UAddr upc, bool stalled) override;
+    void
+    cycle(ucode::UAddr upc, bool stalled) override
+    {
+        cycles(upc, stalled, 1);
+    }
+
+    /** n cycles at @p upc: n added to one bucket, as the board does. */
+    void
+    cycles(ucode::UAddr upc, bool stalled, uint64_t n) override
+    {
+        if (!running_)
+            return;
+        observed_ += n;
+        // The board's own view of the measurement window, counted into
+        // the obs fabric: upc.cycles must equal the histogram's bucket
+        // sum (the cycle-accounting audit) and upc.stall_cycles its
+        // stall total.
+        obs::count(obs::Ev::UpcCycles, n);
+        if (stalled) {
+            histogram_.bumpStall(upc, n);
+            obs::count(obs::Ev::UpcStallCycles, n);
+        } else {
+            histogram_.bumpCount(upc, n);
+        }
+    }
 
     // ----- Unibus register-level facade -----------------------------------
     // The board was programmed with a CSR and a data port; this mirrors

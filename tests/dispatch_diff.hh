@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared body of the dual-dispatch differential tests: the experiment
- * configuration both dispatchers run under, and the byte-identity
- * check on everything a workload run produces.
+ * Shared body of the dual-dispatch differential tests: the seeded
+ * random program mixes, the experiment configuration both dispatchers
+ * run under, and the byte-identity check on everything a workload run
+ * produces.
  */
 
 #ifndef UPC780_TESTS_DISPATCH_DIFF_HH
@@ -11,14 +12,42 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
+#include "common/random.hh"
 #include "sim/experiment.hh"
 #include "ucode/decoded.hh"
 #include "upc/analyzer.hh"
 #include "upc/report.hh"
+#include "workload/profile.hh"
 
 namespace upc780::dispatchdiff
 {
+
+/**
+ * A seeded random program mix: every block weight, the user count, the
+ * data footprint and the loop length are drawn from common/random, so
+ * the differential does not rest on the paper's settings alone.
+ */
+inline wkl::WorkloadProfile
+randomProfile(uint64_t seed)
+{
+    Rng rng(seed);
+    wkl::WorkloadProfile p;
+    p.name = "random mix " + std::to_string(seed);
+    p.seed = seed;
+    wkl::BlockWeights &w = p.weights;
+    for (double *weight :
+         {&w.intLoop, &w.dataMove, &w.branchy, &w.callTree, &w.subrCalls,
+          &w.stringOps, &w.floatKernel, &w.intMulDiv, &w.fieldOps,
+          &w.bitBranches, &w.caseDispatch, &w.decimalOps, &w.queueOps,
+          &w.sysWrite})
+        *weight = rng.uniform();
+    p.users = static_cast<uint32_t>(rng.range(3, 12));
+    p.dataPages = static_cast<uint32_t>(rng.range(16, 160));
+    p.loopIterMean = 2.0 + 18.0 * rng.uniform();
+    return p;
+}
 
 inline sim::ExperimentConfig
 configFor(ucode::DispatchMode d)

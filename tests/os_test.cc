@@ -82,6 +82,43 @@ TEST(Os, BootRunsFirstProcess)
     EXPECT_EQ(vms.currentPid(), 1);
 }
 
+TEST(Os, BackdoorAccessCrossingIntoUnmappedPage)
+{
+    // counterProcess maps 24 P0 pages, so VA 0x3000 is the first
+    // unmapped byte after them.
+    cpu::Vax780 machine;
+    VmsLite vms(machine);
+    vms.addProcess(counterProcess(1));
+    vms.boot();
+    machine.run(50000);
+    ASSERT_EQ(vms.currentPid(), 1);
+    cpu::Ebox &e = machine.ebox();
+    constexpr VAddr End = 24 * 512;
+
+    // A boundary inside the mapping: two page runs, one value.
+    e.backdoorWrite(End - 0x202, 4, 0x44332211);
+    EXPECT_EQ(e.backdoorRead(End - 0x202, 4), 0x44332211u);
+    EXPECT_EQ(e.backdoorRead(End - 0x200, 2), 0x4433u);
+
+    // Into the unmapped page: the error names its first byte ...
+    try {
+        e.backdoorRead(End - 2, 8);
+        ADD_FAILURE() << "read across the mapping's end did not throw";
+    } catch (const GuestError &err) {
+        EXPECT_STREQ(err.what(), "backdoor read of unmapped VA 0x00003000");
+    }
+    // ... and a write stores its mapped page's bytes before it throws.
+    e.backdoorWrite(End - 4, 4, 0);
+    try {
+        e.backdoorWrite(End - 2, 4, 0xDDCCBBAA);
+        ADD_FAILURE() << "write across the mapping's end did not throw";
+    } catch (const GuestError &err) {
+        EXPECT_STREQ(err.what(),
+                     "backdoor write of unmapped VA 0x00003000");
+    }
+    EXPECT_EQ(e.backdoorRead(End - 4, 4), 0xBBAA0000u);
+}
+
 TEST(Os, RoundRobinSharesProcessor)
 {
     cpu::Vax780 machine;
