@@ -15,8 +15,8 @@
 # BENCH_parallel.json) from a dedicated Release build-bench tree —
 # comparing against the committed baseline and refusing debug-build
 # figures — then rebuild with AddressSanitizer for the
-# fault/lint/snap/dispatch/parallel tests, with UBSan for the
-# lint/snap/dispatch tests, and — when the toolchain supports it —
+# fault/lint/snap/dispatch/parallel/devices tests, with UBSan for the
+# lint/snap/dispatch/devices tests, and — when the toolchain supports it —
 # with ThreadSanitizer for the parallel-labeled tests.
 #
 #   scripts/check.sh [build-dir]          (default: build-check)
@@ -192,20 +192,21 @@ else
     echo "== gcov/python3 unavailable; skipping coverage report =="
 fi
 
-echo "== asan build (faults, lint, snap, ubench, dispatch, svc, parallel) =="
+echo "== asan build (faults, lint, snap, ubench, dispatch, svc, parallel, devices) =="
 cmake -S . -B "$BUILD-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DUPC780_SANITIZE=address
 cmake --build "$BUILD-asan" -j "$JOBS"
 ctest --no-tests=error --test-dir "$BUILD-asan" \
-    -L "faults|lint|snap|ubench|dispatch|svc|parallel" --output-on-failure
+    -L "faults|lint|snap|ubench|dispatch|svc|parallel|devices" \
+    --output-on-failure
 
-echo "== ubsan build (lint + snap + ubench + dispatch tests) =="
+echo "== ubsan build (lint + snap + ubench + dispatch + devices tests) =="
 cmake -S . -B "$BUILD-ubsan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DUPC780_SANITIZE=undefined
 cmake --build "$BUILD-ubsan" -j "$JOBS"
 UBSAN_OPTIONS=halt_on_error=1 \
-    ctest --no-tests=error --test-dir "$BUILD-ubsan" -L "lint|snap|ubench|dispatch" \
-    --output-on-failure
+    ctest --no-tests=error --test-dir "$BUILD-ubsan" \
+    -L "lint|snap|ubench|dispatch|devices" --output-on-failure
 
 if echo 'int main(){return 0;}' | \
     c++ -fsanitize=thread -x c++ - -o "$BUILD/tsan-probe" 2>/dev/null

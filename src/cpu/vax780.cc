@@ -61,6 +61,11 @@ Vax780::detachProbe(CycleProbe *p)
 bool
 Vax780::highestPending(uint32_t &level, uint32_t &vector)
 {
+    // Devices are read as of the last finished cycle, cycles_ - 1; no
+    // device can request before the earliest next event.
+    if (cycles_ <= nextDue_)
+        return false;
+    syncDevices();
     uint32_t best_level = 0, best_vector = 0;
     for (Device *d : devices_) {
         uint32_t l = 0, v = 0;
@@ -69,11 +74,20 @@ Vax780::highestPending(uint32_t &level, uint32_t &vector)
             best_vector = v;
         }
     }
+    devicesChanged();
     if (best_level == 0)
         return false;
     level = best_level;
     vector = best_vector;
     return true;
+}
+
+void
+Vax780::devicesChanged()
+{
+    nextDue_ = ~uint64_t{0};
+    for (const Device *d : devices_)
+        nextDue_ = std::min(nextDue_, d->nextEventAt());
 }
 
 void
@@ -83,6 +97,7 @@ Vax780::acknowledge(uint32_t level)
         uint32_t l = 0, v = 0;
         if (d->requesting(l, v) && l == level) {
             d->acknowledge();
+            devicesChanged();
             return;
         }
     }
@@ -102,7 +117,9 @@ bool
 Vax780::tick()
 {
     NoFixedProbes none;
-    return !step(none).halted;
+    const bool running = !step(none).halted;
+    syncDevices();
+    return running;
 }
 
 uint64_t

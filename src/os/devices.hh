@@ -54,6 +54,8 @@ class IntervalTimer : public cpu::Device
         ++interrupts_;
     }
 
+    uint64_t nextEventAt() const override { return pending_ ? 0 : nextAt_; }
+
     uint64_t interrupts() const { return interrupts_.value(); }
 
   private:
@@ -85,6 +87,7 @@ class RteTerminal : public cpu::Device
     scheduleInput(uint64_t cycle, int pid)
     {
         queue_.push(Event{cycle, pid});
+        changed();
     }
 
     void
@@ -110,9 +113,17 @@ class RteTerminal : public cpu::Device
         ++interrupts_;
     }
 
+    uint64_t
+    nextEventAt() const override
+    {
+        return inService_ || queue_.empty() ? ~uint64_t{0}
+                                            : queue_.top().at;
+    }
+
     /**
-     * Called by the kernel's terminal ISR (through the assist hook):
-     * drain all due events, reporting the processes to wake.
+     * Called by the kernel's terminal ISR (through the assist hook),
+     * after the terminal is ticked to the last finished cycle: drain
+     * all due events, reporting the processes to wake.
      */
     std::vector<int>
     drainDue()
@@ -123,6 +134,7 @@ class RteTerminal : public cpu::Device
             queue_.pop();
         }
         inService_ = false;
+        changed();
         return pids;
     }
 

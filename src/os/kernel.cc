@@ -502,6 +502,7 @@ VmsLite::onTimerTick(cpu::Ebox &ebox)
 void
 VmsLite::onTermEvent(cpu::Ebox &ebox)
 {
+    machine_.syncDevices();
     auto pids = terminal_->drainDue();
     bool woke = false;
     for (int pid : pids) {
@@ -707,6 +708,7 @@ VmsLite::deserialize(ByteReader &r)
     if (!booted_)
         sim_throw(SnapshotError, "cannot restore into an unbooted kernel");
     walk(*this, r);
+    machine_.devicesChanged();
 }
 
 } // namespace upc780::os

@@ -178,6 +178,7 @@ class VmsLite
     const OsStats &stats() const { return stats_; }
     IntervalTimer &timer() { return *timer_; }
     RteTerminal &terminal() { return *terminal_; }
+    const RteTerminal &terminal() const { return *terminal_; }
     size_t numProcesses() const { return procs_.size(); }
 
     /** Error-log entries recorded by the machine-check handler. */

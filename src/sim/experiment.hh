@@ -197,14 +197,6 @@ struct ExperimentConfig
     uint64_t watchdogIntervalCycles = 2000000;
 
     /**
-     * Verify after each workload that the histogram's cycle total
-     * equals the cycles the monitor observed (AuditError on mismatch):
-     * the bucket sum *is* the cycle count, by construction of the
-     * board, so a mismatch means lost or double-counted cycles.
-     */
-    bool auditCycleAccounting = true;
-
-    /**
      * Run the static control-store verifier (ulint) over the machine's
      * microprogram before each workload boots, refusing to measure on
      * a defective image (LintError listing the findings). Even with

@@ -90,7 +90,6 @@ configHash(const ExperimentConfig &cfg, const wkl::WorkloadProfile &p)
     }
 
     w.u64(cfg.watchdogIntervalCycles);
-    w.b(cfg.auditCycleAccounting);
     w.b(cfg.lintMicrocode);
     w.b(cfg.auditAttribution);
 
@@ -683,8 +682,9 @@ WorkloadRun::run()
     r.attempts = attempt_ + 1;
     r.resumedFromCycle = resumedFrom_;
 
-    if (cfg_.auditCycleAccounting &&
-        r.histogram.totalCycles() != r.cycles) {
+    // The bucket sum *is* the cycle count, by construction of the
+    // board, so a mismatch means lost or double-counted cycles.
+    if (r.histogram.totalCycles() != r.cycles) {
         sim_throw(AuditError,
                   "cycle accounting mismatch in workload '%s': "
                   "histogram holds %llu cycles, monitor observed %llu",
