@@ -11,15 +11,12 @@
  * by the slowest single workload (the engine cannot split one
  * measurement interval). On fewer cores the bound is min(cores, 5).
  *
- * Also measures what the harness's safety nets cost: the post-run
- * attribution audit on vs off (one pass over a fixed-size histogram
- * per workload — target < 1% on a clean image), and the snapshot
- * layer: the same single workload with and without periodic
- * checkpoints (which must not perturb the histogram), plus the
- * wall-clock of restoring the newest checkpoint. Each of these
- * overhead figures is the median of OverheadReps alternating off/on
- * repetitions, so one noisy run on a shared host cannot pass for an
- * overhead.
+ * Also measures what the snapshot layer costs: the same single
+ * workload with and without periodic checkpoints (which must not
+ * perturb the histogram), plus the wall-clock of restoring the newest
+ * checkpoint. Each of these overhead figures is the median of
+ * OverheadReps alternating off/on repetitions, so one noisy run on a
+ * shared host cannot pass for an overhead.
  *
  * Environment knobs (shared with the table benches):
  *   UPC780_INSTR   - measured instructions per workload (default 40k)
@@ -155,32 +152,6 @@ main()
                     baseline.histogram.totalCycles()),
                 all_identical ? "yes" : "NO");
 
-    // Attribution audit: the same composite with the post-run
-    // static<->dynamic cross-check on vs off. The audit runs once per
-    // workload over a fixed-size histogram, so on a clean image its
-    // cost must vanish against the simulation (target < 1%; reported,
-    // not gated) and must never touch the measurement itself.
-    sim::ExperimentConfig audit_on = cfg;
-    audit_on.auditAttribution = true;
-    sim::ExperimentConfig audit_off = cfg;
-    audit_off.auditAttribution = false;
-    std::vector<double> audit_off_s, audit_on_s;
-    bool audit_same = true;
-    for (int rep = 0; rep < OverheadReps; ++rep) {
-        sim::CompositeResult caon, caoff;
-        audit_off_s.push_back(runOnce(audit_off, 1, caoff));
-        audit_on_s.push_back(runOnce(audit_on, 1, caon));
-        audit_same = audit_same && caon.histogram == caoff.histogram;
-    }
-    const double wall_audit_off = median(audit_off_s);
-    const double wall_audit_on = median(audit_on_s);
-    all_identical = all_identical && audit_same;
-    std::printf("\nattribution audit (median of %d): off %.3f s, on "
-                "%.3f s (%+.1f%% overhead), histograms identical: %s\n",
-                OverheadReps, wall_audit_off, wall_audit_on,
-                100.0 * (wall_audit_on / wall_audit_off - 1.0),
-                audit_same ? "yes" : "NO");
-
     // Checkpoint machinery: one timesharing-1 workload plain vs with
     // periodic snapshots. Saving must not perturb the measurement
     // (identical histogram), and both directions should be cheap
@@ -267,9 +238,6 @@ main()
             {"jobs", std::move(jobs)},
             {"scaling", std::move(scaling)},
             {"overhead_repetitions", int64_t{OverheadReps}},
-            {"audit_overhead", json::Members{{"off_s", wall_audit_off},
-                                             {"on_s", wall_audit_on},
-                                             {"identical", audit_same}}},
             {"checkpoint", json::Members{{"plain_s", wall_plain},
                                          {"checkpointed_s", wall_ckpt},
                                          {"snapshots", uint64_t{saved}},

@@ -27,10 +27,13 @@
  * checkpoint); --resume reuses completed results from an interrupted
  * composite. The report must come out byte-identical either way —
  * scripts/check.sh diffs it.
+ *
+ * An unknown flag, a missing value, or an instruction count, --jobs,
+ * --seeds, --checkpoint-every or --crash-at value that is not a
+ * positive number prints the usage to stderr and exits 2.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -38,62 +41,56 @@
 #include "obs/counters.hh"
 #include "obs/hostprof.hh"
 #include "sim/engine.hh"
-#include "snap/snapshot.hh"
 #include "ucode/controlstore.hh"
 #include "upc/report.hh"
 #include "workload/profile.hh"
 
+#include "engine_args.hh"
+
 using namespace upc780;
+
+namespace
+{
+
+const std::string Usage =
+    std::string("usage: paper_report [instructions-per-workload] "
+                "[--markdown]\n         ") +
+    examples::EngineFlagsUsage;
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     uint64_t instructions = 100000;
-    unsigned jobs = 0;
-    unsigned seeds = 1;
-    bool metrics = false;
-    snap::CheckpointPolicy checkpoint;
+    bool haveInstructions = false;
+    examples::EngineArgs ea;
     upc::ReportOptions opt;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--markdown"))
             opt.markdown = true;
-        else if (!std::strcmp(argv[i], "--metrics"))
-            metrics = true;
-        else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-            jobs = static_cast<unsigned>(strtoul(argv[++i], nullptr, 0));
-        else if (!std::strcmp(argv[i], "--seeds") && i + 1 < argc)
-            seeds = static_cast<unsigned>(strtoul(argv[++i], nullptr, 0));
-        else if (!std::strcmp(argv[i], "--checkpoint-dir") &&
-                 i + 1 < argc)
-            checkpoint.dir = argv[++i];
-        else if (!std::strcmp(argv[i], "--checkpoint-every") &&
-                 i + 1 < argc)
-            checkpoint.everyCycles = strtoull(argv[++i], nullptr, 0);
-        else if (!std::strcmp(argv[i], "--crash-at") && i + 1 < argc)
-            for (char *tok = std::strtok(argv[++i], ","); tok;
-                 tok = std::strtok(nullptr, ","))
-                checkpoint.simulatedCrashCycles.push_back(
-                    strtoull(tok, nullptr, 0));
-        else if (!std::strcmp(argv[i], "--resume"))
-            checkpoint.resume = true;
-        else
-            instructions = strtoull(argv[i], nullptr, 0);
+        else if (ea.take(i, argc, argv, Usage.c_str()))
+            continue;
+        else if (haveInstructions)
+            examples::usageError(
+                std::string("unexpected argument '") + argv[i] + "'",
+                Usage.c_str());
+        else {
+            instructions = examples::parseCount("instructions", argv[i],
+                                                Usage.c_str());
+            haveInstructions = true;
+        }
     }
-    if (seeds < 1)
-        seeds = 1;
 
     sim::ExperimentConfig cfg;
     cfg.instructionsPerWorkload = instructions;
     cfg.warmupInstructions = instructions / 6;
-    cfg.checkpoint = checkpoint;
-    if (checkpoint.simulatedCrashCycles.size() >= cfg.checkpoint.maxRetries)
-        cfg.checkpoint.maxRetries =
-            static_cast<uint32_t>(checkpoint.simulatedCrashCycles.size());
+    ea.apply(cfg);
     sim::EngineConfig ecfg;
-    ecfg.jobs = jobs;
+    ecfg.jobs = ea.jobs;
     sim::ParallelEngine engine(cfg, ecfg);
 
-    auto reps = engine.runReplicated(wkl::paperWorkloads(), seeds);
+    auto reps = engine.runReplicated(wkl::paperWorkloads(), ea.seeds);
     const sim::CompositeResult &composite = reps.front();
 
     upc::HistogramAnalyzer analyzer(composite.histogram,
@@ -109,17 +106,17 @@ main(int argc, char **argv)
                 "workloads)";
     std::fputs(upc::writeReport(analyzer, hw, opt).c_str(), stdout);
 
-    if (seeds > 1) {
+    if (ea.seeds > 1) {
         RunningStat cpi = sim::cpiAcrossReplications(reps);
         std::printf("\nSeed sweep (%u replications per workload)\n",
-                    seeds);
+                    ea.seeds);
         std::printf("  CPI mean %.3f  stddev %.3f (%.2f%%)  "
                     "min %.3f  max %.3f\n",
                     cpi.mean(), cpi.stddev(), 100.0 * cpi.relStddev(),
                     cpi.min(), cpi.max());
     }
 
-    if (metrics) {
+    if (ea.metrics) {
         std::vector<obs::MetricsRow> rows;
         for (const auto &w : composite.workloads) {
             obs::MetricsRow row;

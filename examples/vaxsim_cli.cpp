@@ -5,25 +5,21 @@
  *   vaxsim_cli run [workload] [instructions]   measure + summary
  *   vaxsim_cli report [instructions]           full paper-style report
  *
- * `run` and `report` accept --jobs N (worker threads; default
- * UPC780_JOBS, else all cores) and --seeds K (seed replications, run
- * concurrently; the summary gains mean/stddev CPI across seeds).
- * They also accept the crash-resilience flags:
- *   --checkpoint-dir DIR    persist checkpoints + per-task results
- *   --checkpoint-every N    periodic checkpoint cadence in cycles
- *   --crash-at C1[,C2...]   simulate a harness crash at those cycles
- *                           (attempt k crashes at Ck; one past the
- *                           list, the run survives — a retry drill)
- *   --resume                reuse finished .result files and restart
- *                           interrupted workloads from their latest
- *                           checkpoint instead of from boot
+ * `run` and `report` accept the engine flags of engine_args.hh:
+ * --jobs N (worker threads), --seeds K (seed replications, run
+ * concurrently; the summary gains mean/stddev CPI across seeds),
+ * --metrics, and the crash-resilience flags --checkpoint-dir,
+ * --checkpoint-every, --crash-at and --resume. An unknown flag, a
+ * missing value, a count that is not a positive number, or an unknown
+ * workload id exits 2.
+ *
  *   vaxsim_cli trace [workload] [n]            last n retired instrs
  *   vaxsim_cli disasm <file> [base]            disassemble raw bytes
  *   vaxsim_cli ucode [--dump]                  microprogram stats/listing
  *   vaxsim_cli collect <file> [workload] [n]   save a raw histogram
  *   vaxsim_cli analyze <file>                  report from a saved one
  *
- * Workloads: ts1 ts2 edu sci com (default ts1).
+ * Workloads: ts1 ts2 edu sci com bursty (default ts1).
  */
 
 #include <cstdio>
@@ -33,6 +29,7 @@
 #include <vector>
 
 #include "arch/decoder.hh"
+#include "common/error.hh"
 #include "common/stats.hh"
 #include "obs/counters.hh"
 #include "obs/hostprof.hh"
@@ -40,89 +37,57 @@
 #include "os/kernel.hh"
 #include "sim/engine.hh"
 #include "sim/experiment.hh"
-#include "snap/snapshot.hh"
 #include "ucode/controlstore.hh"
 #include "upc/report.hh"
 #include "workload/codegen.hh"
 #include "workload/profile.hh"
+
+#include "engine_args.hh"
 
 using namespace upc780;
 
 namespace
 {
 
-wkl::WorkloadProfile
-profileByName(const char *name)
-{
-    if (!std::strcmp(name, "ts2"))
-        return wkl::timesharing2Profile();
-    if (!std::strcmp(name, "edu"))
-        return wkl::educationalProfile();
-    if (!std::strcmp(name, "sci"))
-        return wkl::scientificProfile();
-    if (!std::strcmp(name, "com"))
-        return wkl::commercialProfile();
-    return wkl::timesharing1Profile();
-}
+const std::string EngineUsage =
+    std::string("usage: vaxsim_cli run [workload] [instructions] FLAGS\n"
+                "       vaxsim_cli report [instructions] FLAGS\n"
+                "FLAGS:   ") +
+    examples::EngineFlagsUsage;
 
 /**
- * Strip `--jobs N` / `--seeds K` out of an argv slice (compacting it
- * in place) so the positional arguments keep their old meanings.
+ * Parse the engine flags out of an argv slice, compacting the other
+ * arguments in place (at most @p maxPositional of them) so they keep
+ * their positional meanings; returns how many remain.
  */
-struct EngineArgs
+int
+takeEngineArgs(examples::EngineArgs &ea, int argc, char **argv,
+               int maxPositional)
 {
-    unsigned jobs = 0;
-    unsigned seeds = 1;
-    bool metrics = false;
-    snap::CheckpointPolicy checkpoint;
-
-    int
-    extract(int argc, char **argv)
-    {
-        int kept = 0;
-        for (int i = 0; i < argc; ++i) {
-            if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-                jobs = static_cast<unsigned>(
-                    strtoul(argv[++i], nullptr, 0));
-            else if (!std::strcmp(argv[i], "--seeds") && i + 1 < argc)
-                seeds = static_cast<unsigned>(
-                    strtoul(argv[++i], nullptr, 0));
-            else if (!std::strcmp(argv[i], "--metrics"))
-                metrics = true;
-            else if (!std::strcmp(argv[i], "--checkpoint-dir") &&
-                     i + 1 < argc)
-                checkpoint.dir = argv[++i];
-            else if (!std::strcmp(argv[i], "--checkpoint-every") &&
-                     i + 1 < argc)
-                checkpoint.everyCycles = strtoull(argv[++i], nullptr, 0);
-            else if (!std::strcmp(argv[i], "--crash-at") && i + 1 < argc)
-                for (char *tok = std::strtok(argv[++i], ",");
-                     tok; tok = std::strtok(nullptr, ","))
-                    checkpoint.simulatedCrashCycles.push_back(
-                        strtoull(tok, nullptr, 0));
-            else if (!std::strcmp(argv[i], "--resume"))
-                checkpoint.resume = true;
-            else
-                argv[kept++] = argv[i];
-        }
-        if (seeds < 1)
-            seeds = 1;
-        return kept;
+    int kept = 0;
+    for (int i = 0; i < argc; ++i) {
+        if (ea.take(i, argc, argv, EngineUsage.c_str()))
+            continue;
+        if (kept == maxPositional)
+            examples::usageError(std::string("unexpected argument '") +
+                                     argv[i] + "'",
+                                 EngineUsage.c_str());
+        argv[kept++] = argv[i];
     }
+    return kept;
+}
 
-    /** Fold the checkpoint flags into an experiment config. */
-    void
-    apply(sim::ExperimentConfig &cfg) const
-    {
-        cfg.checkpoint = checkpoint;
-        // A crash drill needs enough retries to outlast the scripted
-        // crashes (attempt k dies at the k-th listed cycle).
-        if (checkpoint.simulatedCrashCycles.size() >=
-            cfg.checkpoint.maxRetries)
-            cfg.checkpoint.maxRetries = static_cast<uint32_t>(
-                checkpoint.simulatedCrashCycles.size());
+/** The profile for a workload id; an unknown id exits 2. */
+wkl::WorkloadProfile
+profileOrExit(const char *id)
+{
+    try {
+        return wkl::profileById(id);
+    } catch (const ConfigError &e) {
+        std::fprintf(stderr, "vaxsim_cli: %s\n", e.what());
+        std::exit(2);
     }
-};
+}
 
 /** The --metrics appendix shared by `run` and `report`. */
 void
@@ -144,10 +109,12 @@ printMetrics(const sim::CompositeResult &c)
 int
 cmdRun(int argc, char **argv)
 {
-    EngineArgs ea;
-    argc = ea.extract(argc, argv);
-    auto profile = profileByName(argc > 0 ? argv[0] : "ts1");
-    uint64_t n = argc > 1 ? strtoull(argv[1], nullptr, 0) : 100000;
+    examples::EngineArgs ea;
+    argc = takeEngineArgs(ea, argc, argv, 2);
+    auto profile = profileOrExit(argc > 0 ? argv[0] : "ts1");
+    uint64_t n = argc > 1 ? examples::parseCount("instructions", argv[1],
+                                                 EngineUsage.c_str())
+                          : 100000;
 
     sim::ExperimentConfig cfg;
     cfg.instructionsPerWorkload = n;
@@ -184,9 +151,11 @@ cmdRun(int argc, char **argv)
 int
 cmdReport(int argc, char **argv)
 {
-    EngineArgs ea;
-    argc = ea.extract(argc, argv);
-    uint64_t n = argc > 0 ? strtoull(argv[0], nullptr, 0) : 60000;
+    examples::EngineArgs ea;
+    argc = takeEngineArgs(ea, argc, argv, 1);
+    uint64_t n = argc > 0 ? examples::parseCount("instructions", argv[0],
+                                                 EngineUsage.c_str())
+                          : 60000;
     sim::ExperimentConfig cfg;
     cfg.instructionsPerWorkload = n;
     cfg.warmupInstructions = n / 6;
@@ -221,7 +190,7 @@ cmdReport(int argc, char **argv)
 int
 cmdTrace(int argc, char **argv)
 {
-    auto profile = profileByName(argc > 0 ? argv[0] : "ts1");
+    auto profile = profileOrExit(argc > 0 ? argv[0] : "ts1");
     uint64_t n = argc > 1 ? strtoull(argv[1], nullptr, 0) : 40;
     profile.users = 4;
 
@@ -336,7 +305,7 @@ cmdCollect(int argc, char **argv)
         std::fprintf(stderr, "collect: missing output file\n");
         return 2;
     }
-    auto profile = profileByName(argc > 1 ? argv[1] : "ts1");
+    auto profile = profileOrExit(argc > 1 ? argv[1] : "ts1");
     uint64_t n = argc > 2 ? strtoull(argv[2], nullptr, 0) : 60000;
     sim::ExperimentConfig cfg;
     cfg.instructionsPerWorkload = n;

@@ -156,8 +156,7 @@ Ebox::runCycleDecoded(uint64_t now)
         &&hx_generic,  &&hx_pad,       &&hx_decode,    &&hx_spechead,
         &&hx_specopnd, &&hx_mdrread,   &&hx_wres,      &&hx_opndaddr,
         &&hx_nopdisp,  &&hx_exec,      &&hx_execstep,  &&hx_loopdec,
-        &&hx_brdisp,   &&hx_takebr,    &&hx_execdisp,  &&hx_execbdisp,
-        &&hx_brtgt,
+        &&hx_takebr,   &&hx_execdisp,  &&hx_execbdisp, &&hx_brtgt,
     };
     static_assert(sizeof(tbl) / sizeof(tbl[0]) ==
                   static_cast<size_t>(Hx::NumHandlers));
@@ -187,8 +186,6 @@ Ebox::runCycleDecoded(uint64_t now)
     return runCycleCore<Hx::ExecStepNext>(row.op, now);
   hx_loopdec:
     return runCycleCore<Hx::LoopDecJif>(row.op, now);
-  hx_brdisp:
-    return runCycleCore<Hx::BranchDisp>(row.op, now);
   hx_takebr:
     return runCycleCore<Hx::TakeBranchDecode>(row.op, now);
   hx_execdisp:

@@ -171,8 +171,6 @@ struct ExperimentConfig
     uint64_t warmupInstructions = 40000;
     /** Exclude the Null process, as the paper does (§2.2). */
     bool excludeIdle = true;
-    /** Hard cycle cap (hang protection). */
-    uint64_t maxCycles = 0;  //!< 0: derived from instruction budget
 
     /**
      * Observability level: the window of obs counters is reported by
@@ -188,37 +186,6 @@ struct ExperimentConfig
      * bit-identical to one without the fault subsystem.
      */
     fault::FaultConfig fault;
-
-    /**
-     * Watchdog: cycles without an instruction decode before the run
-     * is declared livelocked (WatchdogError with a diagnostic dump).
-     * Must comfortably exceed the workloads' terminal think times.
-     */
-    uint64_t watchdogIntervalCycles = 2000000;
-
-    /**
-     * Run the static control-store verifier (ulint) over the machine's
-     * microprogram before each workload boots, refusing to measure on
-     * a defective image (LintError listing the findings). Even with
-     * this off, a measured histogram that touches a flagged
-     * micro-address still raises a LintError afterwards — attribution
-     * through a flagged word is exactly the silent corruption the
-     * verifier exists to catch.
-     */
-    bool lintMicrocode = true;
-
-    /**
-     * Verify after each workload that the measurement landed inside
-     * the statically-allowed attribution sets (AuditError otherwise):
-     * every histogram bucket with cycles must be an allocated,
-     * reachable, unambiguously-classed word; stall cycles may only
-     * accrue at words with a memory function; and each obs counter
-     * total must equal the sum the per-word effect map predicts for
-     * it (see ulint::EffectMap and sim::auditAttribution). Skipped
-     * when the lint report is dirty — the flagged-address audit
-     * already refuses those runs with the more specific diagnosis.
-     */
-    bool auditAttribution = true;
 
     /**
      * Checkpoint/retry/resume policy (see snap/snapshot.hh). Disabled

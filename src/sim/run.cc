@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <filesystem>
 #include <optional>
-#include <thread>
 
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/serial.hh"
 #include "ucode/controlstore.hh"
+#include "ulint/ulint.hh"
 #include "ulint/verified.hh"
 #include "workload/codegen.hh"
 
@@ -69,7 +68,6 @@ configHash(const ExperimentConfig &cfg, const wkl::WorkloadProfile &p)
     w.u64(cfg.instructionsPerWorkload);
     w.u64(cfg.warmupInstructions);
     w.b(cfg.excludeIdle);
-    w.u64(cfg.maxCycles);
 
     w.b(cfg.obs.counters);
     w.u32(cfg.obs.traceDepth);
@@ -88,10 +86,6 @@ configHash(const ExperimentConfig &cfg, const wkl::WorkloadProfile &p)
         w.u8(static_cast<uint8_t>(s.kind));
         w.u64(s.access);
     }
-
-    w.u64(cfg.watchdogIntervalCycles);
-    w.b(cfg.lintMicrocode);
-    w.b(cfg.auditAttribution);
 
     return fnv1a(w.data());
 }
@@ -240,12 +234,12 @@ WorkloadRun::WorkloadRun(const ExperimentConfig &cfg,
         machine_->attachProbe(instrEvents_.get());
     }
 
-    lintReport_ = ulint::lint(machine_->microcode());
-    if (cfg_.lintMicrocode && !lintReport_.clean()) {
+    const ulint::Report report = ulint::lint(machine_->microcode());
+    if (!report.clean()) {
         sim_throw(LintError,
                   "workload '%s': refusing to measure on a defective "
                   "microprogram; ulint reports:\n%s",
-                  profile_.name.c_str(), lintReport_.toText().c_str());
+                  profile_.name.c_str(), report.toText().c_str());
     }
 
     if (cfg_.fault.any()) {
@@ -264,8 +258,7 @@ WorkloadRun::WorkloadRun(const ExperimentConfig &cfg,
 
     // The monitor and the watchdog are not attached: run() fuses them
     // into the machine's run loop (RunProbes).
-    watchdog_ = std::make_unique<Watchdog>(machine_->microcode(),
-                                           cfg_.watchdogIntervalCycles);
+    watchdog_ = std::make_unique<Watchdog>(machine_->microcode());
 
     vms_->setSwitchHook([this](int, bool is_idle) {
         inIdle_ = is_idle;
@@ -283,11 +276,10 @@ WorkloadRun::WorkloadRun(const ExperimentConfig &cfg,
     vms_->boot();
 
     decodeAddr_ = machine_->microcode().marks.decode;
-    maxCycles_ = cfg_.maxCycles
-                     ? cfg_.maxCycles
-                     : 80 * (cfg_.instructionsPerWorkload +
-                             cfg_.warmupInstructions) +
-                           10000000;
+    // Hang protection: a cap on each loop's cycles, from its budget.
+    cycleCap_ = 80 * (cfg_.instructionsPerWorkload +
+                      cfg_.warmupInstructions) +
+                10000000;
 
     atCycles_ = cfg_.checkpoint.atCycles;
     std::sort(atCycles_.begin(), atCycles_.end());
@@ -386,7 +378,7 @@ WorkloadRun::batchBudget() const
     };
     // The cycle-limit checks in run() fire at the first cycle past the
     // limit.
-    cap((phase_ == Phase::Warmup ? 0 : cyclesAtStart_) + maxCycles_ + 1);
+    cap((phase_ == Phase::Warmup ? 0 : cyclesAtStart_) + cycleCap_ + 1);
     if (cfg_.checkpoint.enabled()) {
         if (cfg_.checkpoint.everyCycles)
             cap(periodicNext_);
@@ -628,7 +620,7 @@ WorkloadRun::run()
                                   machine_->ebox().instructions()));
             if (machine_->ebox().halted())
                 sim_throw(GuestError, "machine halted during warm-up");
-            if (machine_->cycles() > maxCycles_)
+            if (machine_->cycles() > cycleCap_)
                 sim_throw(WatchdogError,
                           "machine hung during warm-up\n%s",
                           watchdog_->diagnostic().c_str());
@@ -648,11 +640,11 @@ WorkloadRun::run()
             if (machine_->ebox().halted())
                 sim_throw(GuestError,
                           "machine halted during measurement");
-            if (machine_->cycles() - cyclesAtStart_ > maxCycles_) {
+            if (machine_->cycles() - cyclesAtStart_ > cycleCap_) {
                 sim_throw(WatchdogError,
                           "measurement did not reach its instruction "
                           "budget (%llu cycles elapsed)\n%s",
-                          static_cast<unsigned long long>(maxCycles_),
+                          static_cast<unsigned long long>(cycleCap_),
                           watchdog_->diagnostic().c_str());
             }
             checkStuck("measurement");
@@ -694,38 +686,8 @@ WorkloadRun::run()
                   static_cast<unsigned long long>(r.cycles));
     }
 
-    if (!lintReport_.clean()) {
-        uint64_t touched_cycles = 0;
-        std::string rules;
-        for (ucode::UAddr a : ulint::flaggedAddresses(lintReport_)) {
-            uint64_t n = r.histogram.count(a) + r.histogram.stall(a);
-            if (n == 0)
-                continue;
-            touched_cycles += n;
-            for (const ulint::Finding &f : lintReport_.findings) {
-                if (f.addr == a &&
-                    rules.find(f.rule) == std::string::npos) {
-                    if (!rules.empty())
-                        rules += ", ";
-                    rules += f.rule;
-                }
-            }
-        }
-        if (touched_cycles) {
-            sim_throw(LintError,
-                      "workload '%s': histogram attributes %llu cycles "
-                      "to micro-addresses flagged by ulint (%s); the "
-                      "derived tables would be silently corrupt",
-                      profile_.name.c_str(),
-                      static_cast<unsigned long long>(touched_cycles),
-                      rules.c_str());
-        }
-    }
-
-    if (cfg_.auditAttribution && lintReport_.clean()) {
-        auditAttribution(machine_->microcode(), r.histogram, r.obs,
-                         cfg_.obs.counters, profile_.name);
-    }
+    auditAttribution(machine_->microcode(), r.histogram, r.obs,
+                     cfg_.obs.counters, profile_.name);
     return r;
 }
 
@@ -852,10 +814,6 @@ runWorkloadRecoverable(const ExperimentConfig &cfg,
                                  tid + ": attempt " +
                                      std::to_string(attempt) +
                                      " tripped the watchdog; retrying");
-            if (p.retryBackoffMs) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    static_cast<uint64_t>(p.retryBackoffMs) << attempt));
-            }
             ++attempt;
         }
     }

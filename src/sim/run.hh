@@ -40,7 +40,6 @@
 #include "sim/experiment.hh"
 #include "sim/watchdog.hh"
 #include "snap/snapshot.hh"
-#include "ulint/ulint.hh"
 
 namespace upc780::sim
 {
@@ -104,8 +103,10 @@ class WorkloadRun
      * Build and boot the machine for @p profile (identically to the
      * historical runWorkload preamble). @p attempt is the 0-based
      * retry attempt, used by the simulated-crash knob and recorded in
-     * checkpoints. The constructor and run() each install the run's
-     * observability scope on the calling thread for their duration.
+     * checkpoints. Throws LintError, before booting, when ulint flags
+     * the machine's microprogram. The constructor and run() each
+     * install the run's observability scope on the calling thread for
+     * their duration.
      */
     WorkloadRun(const ExperimentConfig &cfg,
                 const wkl::WorkloadProfile &profile, uint32_t attempt = 0);
@@ -121,7 +122,11 @@ class WorkloadRun
     /**
      * Run (or resume) to completion and return the measurement.
      * Throws like the historical runWorkload; additionally writes
-     * checkpoints per the config's CheckpointPolicy.
+     * checkpoints per the config's CheckpointPolicy. Every run ends
+     * with two audits, each an AuditError when it fails: the
+     * histogram must sum to the observed cycles, and the measurement
+     * must fit the image's static attribution matrix
+     * (auditAttribution).
      */
     WorkloadResult run();
 
@@ -180,13 +185,12 @@ class WorkloadRun
     std::unique_ptr<cpu::Vax780> machine_;
     std::unique_ptr<os::VmsLite> vms_;
     std::unique_ptr<cpu::InstrTracer> instrEvents_;
-    ulint::Report lintReport_;
     std::unique_ptr<fault::FaultInjector> injector_;
     upc::UpcMonitor monitor_;
     std::unique_ptr<Watchdog> watchdog_;
 
     ucode::UAddr decodeAddr_ = 0;
-    uint64_t maxCycles_ = 0;
+    uint64_t cycleCap_ = 0;
 
     // Harness loop state (the "runner" checkpoint section).
     Phase phase_ = Phase::Warmup;
@@ -222,9 +226,9 @@ class WorkloadRun
  *    an unreadable checkpoint means starting from cycle 0.
  *  - a WatchdogError (wall-clock cancellation, livelock, or the
  *    simulated-crash knob) triggers a retry from the newest
- *    checkpoint, up to maxRetries, with exponential backoff; the
- *    budget exhausted, the error propagates so the caller records the
- *    usual not-ok partial result.
+ *    checkpoint, up to maxRetries, without waiting; the budget
+ *    exhausted, the error propagates so the caller records the usual
+ *    not-ok partial result.
  *  - any other SimError propagates immediately (deterministic
  *    failures do not improve with retries).
  *

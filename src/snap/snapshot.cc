@@ -1,5 +1,6 @@
 #include "snap/snapshot.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -226,6 +227,16 @@ SnapshotReader::names() const
     for (const Section &s : sections_)
         out.push_back(s.name);
     return out;
+}
+
+// ----- checkpoint policy -----------------------------------------------
+
+void
+CheckpointPolicy::scriptCrashes(std::vector<uint64_t> cycles)
+{
+    simulatedCrashCycles = std::move(cycles);
+    maxRetries = std::max(
+        maxRetries, static_cast<uint32_t>(simulatedCrashCycles.size()));
 }
 
 // ----- checkpoint file naming ------------------------------------------

@@ -167,11 +167,8 @@ struct CheckpointPolicy
     /** Explicit checkpoint cycles (ascending), besides the period. */
     std::vector<uint64_t> atCycles;
 
-    /** Watchdog-trip retries before giving up on a workload. */
+    /** Watchdog-trip retries, run at once, before giving up. */
     uint32_t maxRetries = 2;
-
-    /** Sleep between retries (doubles per attempt; 0 disables). */
-    uint32_t retryBackoffMs = 0;
 
     /**
      * Resume mode: completed `.result` files in `dir` are loaded
@@ -188,7 +185,14 @@ struct CheckpointPolicy
     std::vector<uint64_t> simulatedCrashCycles;
 
     bool enabled() const { return !dir.empty(); }
-    bool periodic() const { return everyCycles || !atCycles.empty(); }
+
+    /**
+     * A crash drill: script @p cycles as simulatedCrashCycles and
+     * raise maxRetries to at least one retry per scripted crash, so
+     * the run survives them all. (Setting simulatedCrashCycles alone
+     * keeps maxRetries, which is how a test exhausts the budget.)
+     */
+    void scriptCrashes(std::vector<uint64_t> cycles);
 };
 
 // ----- checkpoint file naming ------------------------------------------

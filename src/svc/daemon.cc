@@ -487,11 +487,7 @@ Daemon::runJob(const Queued &q)
             xc.checkpoint.dir = cfg_.spoolDir + "/" + key;
             xc.checkpoint.everyCycles = cfg_.spoolEveryCycles;
             xc.checkpoint.resume = true;
-            xc.checkpoint.maxRetries = cfg_.maxRetries;
-            xc.checkpoint.simulatedCrashCycles = cfg_.chaosCrashCycles;
-            if (cfg_.chaosCrashCycles.size() >= xc.checkpoint.maxRetries)
-                xc.checkpoint.maxRetries = static_cast<uint32_t>(
-                    cfg_.chaosCrashCycles.size());
+            xc.checkpoint.scriptCrashes(cfg_.chaosCrashCycles);
         }
 
         const auto profiles = profilesFor(q.spec);

@@ -68,9 +68,6 @@ struct DaemonConfig
     /** Checkpoint cadence (machine cycles) inside the spool. */
     uint64_t spoolEveryCycles = 20000;
 
-    /** Watchdog-trip retries per workload (spool mode only). */
-    uint32_t maxRetries = 2;
-
     /**
      * Job-level worker threads. 0 means no threads: the owner pumps
      * the queue with runQueuedOnce(), which is how the deterministic
@@ -100,7 +97,8 @@ struct DaemonConfig
 
     /**
      * Chaos knob for the recovery tests: per-attempt simulated-crash
-     * cycles handed to every job's checkpoint policy. Daemon-side
+     * cycles handed to every job's checkpoint policy as a crash drill
+     * (snap::CheckpointPolicy::scriptCrashes). Daemon-side
      * only — deliberately outside the cache key, so a chaos-ridden
      * run must still produce the clean run's bytes.
      */

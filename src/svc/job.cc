@@ -129,25 +129,6 @@ parseMachine(const json::Value &mv, cpu::MachineConfig &m)
 
 } // namespace
 
-wkl::WorkloadProfile
-profileById(const std::string &id)
-{
-    if (id == "ts1")
-        return wkl::timesharing1Profile();
-    if (id == "ts2")
-        return wkl::timesharing2Profile();
-    if (id == "edu")
-        return wkl::educationalProfile();
-    if (id == "sci")
-        return wkl::scientificProfile();
-    if (id == "com")
-        return wkl::commercialProfile();
-    if (id == "bursty")
-        return wkl::burstyNetworkProfile();
-    sim_throw(ConfigError, "unknown workload id '%s' (want ts1 ts2 edu "
-              "sci com bursty, or the shorthand \"paper\")", id.c_str());
-}
-
 JobSpec
 parseJobSpec(const json::Value &request, const AdmissionLimits &limits)
 {
@@ -180,7 +161,7 @@ parseJobSpec(const json::Value &request, const AdmissionLimits &limits)
             if (!v.isString())
                 sim_throw(ConfigError, "job request: 'workloads' "
                           "entries must be strings");
-            profileById(v.asString()); // validates the id
+            wkl::profileById(v.asString()); // validates the id
             spec.workloads.push_back(v.asString());
         }
     } else {
@@ -268,7 +249,7 @@ profilesFor(const JobSpec &spec)
     std::vector<wkl::WorkloadProfile> profiles;
     profiles.reserve(spec.workloads.size());
     for (size_t i = 0; i < spec.workloads.size(); ++i) {
-        wkl::WorkloadProfile p = profileById(spec.workloads[i]);
+        wkl::WorkloadProfile p = wkl::profileById(spec.workloads[i]);
         if (spec.seed)
             p.seed = deriveSeed(spec.seed, i);
         profiles.push_back(std::move(p));

@@ -94,9 +94,6 @@ JobSpec parseJobSpec(const json::Value &request,
 /** Serialize a spec back to its canonical request object. */
 json::Value jobSpecToJson(const JobSpec &spec);
 
-/** Workload profile for an id; ConfigError on an unknown id. */
-wkl::WorkloadProfile profileById(const std::string &id);
-
 /** The run-order profile list for a spec (seed overrides applied). */
 std::vector<wkl::WorkloadProfile> profilesFor(const JobSpec &spec);
 

@@ -74,7 +74,6 @@ enum class Hx : uint8_t
     ExecNext,         //!< exec / - / next (one-cycle execute)
     ExecStepNext,     //!< exec.step / - / next (non-memory step)
     LoopDecJif,       //!< loopdec / - / jumpif (iteration control)
-    BranchDisp,       //!< brtgt / bdisp / next (displacement fetch)
     TakeBranchDecode, //!< take / - / decnext (taken-branch retire)
     ExecSpecDispatch, //!< exec / - / specdisp (execute, then write specs)
     ExecBdispCond,    //!< exec / bdisp / decnextifnot (loop-branch test)
@@ -150,8 +149,6 @@ inline constexpr Form forms[] = {
      Mem::None, Ib::None, Seq::Next},
     {Hx::LoopDecJif, "loopdec-jif", dpBit(Dp::LoopDec),
      Mem::None, Ib::None, Seq::JumpIfFlag},
-    {Hx::BranchDisp, "branch-disp", dpBit(Dp::BranchTarget),
-     Mem::None, Ib::GetBranchDisp, Seq::Next},
     {Hx::TakeBranchDecode, "take-branch-decode", dpBit(Dp::TakeBranch),
      Mem::None, Ib::None, Seq::DecodeNext},
     {Hx::ExecSpecDispatch, "exec-specdisp", dpBit(Dp::Exec),

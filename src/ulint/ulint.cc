@@ -1053,18 +1053,6 @@ lint(const MicrocodeImage &image)
     return Linter(image, cfg, fx).run();
 }
 
-std::vector<UAddr>
-flaggedAddresses(const Report &report)
-{
-    std::vector<UAddr> v;
-    for (const Finding &f : report.findings)
-        if (f.addr != 0)
-            v.push_back(f.addr);
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-    return v;
-}
-
 std::string
 Report::toText() const
 {

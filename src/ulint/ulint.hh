@@ -145,9 +145,6 @@ struct Report
 /** Run every rule against @p image. */
 Report lint(const ucode::MicrocodeImage &image);
 
-/** Sorted unique micro-addresses named by the report's findings. */
-std::vector<UAddr> flaggedAddresses(const Report &report);
-
 } // namespace upc780::ulint
 
 #endif // UPC780_ULINT_ULINT_HH

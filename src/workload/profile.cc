@@ -1,5 +1,6 @@
 #include "workload/profile.hh"
 
+#include "common/error.hh"
 #include "common/serial.hh"
 
 namespace upc780::wkl
@@ -192,6 +193,26 @@ paperWorkloads()
     return {timesharing1Profile(), timesharing2Profile(),
             educationalProfile(), scientificProfile(),
             commercialProfile()};
+}
+
+WorkloadProfile
+profileById(const std::string &id)
+{
+    if (id == "ts1")
+        return timesharing1Profile();
+    if (id == "ts2")
+        return timesharing2Profile();
+    if (id == "edu")
+        return educationalProfile();
+    if (id == "sci")
+        return scientificProfile();
+    if (id == "com")
+        return commercialProfile();
+    if (id == "bursty")
+        return burstyNetworkProfile();
+    sim_throw(ConfigError,
+              "unknown workload id '%s' (want ts1 ts2 edu sci com bursty)",
+              id.c_str());
 }
 
 } // namespace upc780::wkl

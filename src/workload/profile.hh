@@ -86,6 +86,12 @@ WorkloadProfile burstyNetworkProfile();
 /** The five paper workloads, in the paper's order. */
 std::vector<WorkloadProfile> paperWorkloads();
 
+/**
+ * Profile for a workload id (ts1 ts2 edu sci com bursty); ConfigError
+ * naming the id otherwise.
+ */
+WorkloadProfile profileById(const std::string &id);
+
 } // namespace upc780::wkl
 
 #endif // UPC780_WORKLOAD_PROFILE_HH

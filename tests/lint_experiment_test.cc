@@ -1,10 +1,9 @@
 /**
  * @file
  * ulint × experiment-harness integration: the runner refuses to
- * measure on a defective microprogram at startup, and — when startup
- * lint is disabled — a measured histogram that touches a flagged
- * micro-address surfaces the finding through the partial-results
- * machinery, the same path a fault campaign's failures take.
+ * measure on a defective microprogram at startup, and a composite
+ * surfaces that refusal through the partial-results machinery, the
+ * same path a fault campaign's failures take.
  *
  * The seeded defects are chosen to be *runtime-harmless*: the EBOX
  * never consults the activity-row map or the stored ABORT word, so
@@ -63,14 +62,14 @@ TEST(LintExperiment, FlaggedAddressSurfacesInPartialResult)
 {
     // Un-row the uDECODE word: UL001 flags the one address every
     // instruction's histogram is guaranteed to touch. The row map is
-    // analyzer-only state, so the run itself completes normally.
+    // analyzer-only state, so only the startup lint stands between
+    // this image and a silently mis-attributed measurement.
     static ucode::MicrocodeImage defective = ucode::microcodeImage();
     defective.info[defective.marks.decode].row = ucode::Row::None;
     ASSERT_FALSE(ulint::lint(defective).clean());
 
     auto cfg = smallConfig();
     cfg.machine.image = &defective;
-    cfg.lintMicrocode = false;  // let the measurement proceed
     sim::ExperimentRunner runner(cfg);
     auto p = wkl::timesharing1Profile();
     p.users = 2;
@@ -83,7 +82,9 @@ TEST(LintExperiment, FlaggedAddressSurfacesInPartialResult)
     // report points straight at the defect.
     EXPECT_NE(c.workloads[0].error.find("UL001"), std::string::npos)
         << c.workloads[0].error;
-    EXPECT_NE(c.workloads[0].error.find("flagged"), std::string::npos);
+    EXPECT_NE(c.workloads[0].error.find("refusing to measure on a "
+                                        "defective microprogram"),
+              std::string::npos);
 }
 
 TEST(LintExperiment, CleanImageMeasuresNormally)
@@ -188,7 +189,7 @@ genuineRun()
 
 TEST(AttributionAudit, GenuineMeasurementPasses)
 {
-    // runWorkload already audits (auditAttribution defaults on), so
+    // runWorkload already audits (every run does), so
     // reaching here at all is the real assertion; re-run the free
     // function explicitly to pin the contract down.
     const auto &r = genuineRun();

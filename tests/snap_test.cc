@@ -362,9 +362,14 @@ TEST(SnapMachine, DefaultConfigHashPinned)
     // cannot orphan the files a resume would load. Re-pinned when the
     // cycle audit became unconditional: the deleted
     // ExperimentConfig::auditCycleAccounting no longer writes its byte.
+    // Re-pinned again when four settings no caller changed were
+    // deleted (the cycle cap now always derives from the instruction
+    // budget, the watchdog takes its own default interval, startup
+    // lint and the attribution audit always run): their four fields
+    // no longer write their bytes.
     EXPECT_EQ(sim::configHash(sim::ExperimentConfig{},
                               wkl::paperWorkloads()[0]),
-              0x95d5d97858237019ull);
+              0xf266d93908fa5495ull);
 }
 
 TEST(SnapMachine, RestoreRefusesWrongConfigAndWorkload)
@@ -586,8 +591,7 @@ TEST(SnapPayload, EveryTruncatedSectionIsRejected)
     obs::EventTracer tracer(cfg.obs.traceDepth, cfg.obs.traceMask);
     cpu::InstrTracer instr(machine, 1, /*disassemble=*/false);
     fault::FaultInjector injector(cfg.fault);
-    sim::Watchdog watchdog(machine.microcode(),
-                           cfg.watchdogIntervalCycles);
+    sim::Watchdog watchdog(machine.microcode());
     sim::WorkloadResult loaded;
     // The SBI and write buffer have no mutable accessors on the
     // machine; stand-alone twins of the same shape stand in.

@@ -264,21 +264,6 @@ TEST(UlintSeeded, AnnotatedLandmarkFiresUL008)
     EXPECT_GE(r.countRule("UL008"), 1u) << r.toText();
 }
 
-TEST(UlintReport, FlaggedAddressesAreSortedUnique)
-{
-    MicrocodeImage img = copyShipped();
-    img.ops[img.marks.halted].target =
-        static_cast<UAddr>(img.allocated + 100);
-    img.ops[img.marks.abort].mem = ucode::Mem::WriteV;
-
-    Report r = lint(img);
-    auto flagged = ulint::flaggedAddresses(r);
-    ASSERT_GE(flagged.size(), 2u);
-    EXPECT_TRUE(std::is_sorted(flagged.begin(), flagged.end()));
-    EXPECT_EQ(std::adjacent_find(flagged.begin(), flagged.end()),
-              flagged.end());
-}
-
 // ----- dataflow rules (UL010-UL015) ------------------------------------
 
 TEST(UlintSeeded, DeadMicroRegisterWriteFiresUL010)

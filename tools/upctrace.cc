@@ -7,7 +7,7 @@
  *
  *   upctrace [options] [workload] [instructions]
  *
- *   workload        ts1 ts2 edu sci com (default ts1)
+ *   workload        ts1 ts2 edu sci com bursty (default ts1)
  *   instructions    measured instruction count (default 20000)
  *
  *   --categories L  comma-separated list (instr,mem,tb,os,irq,fault,
@@ -27,6 +27,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/error.hh"
 #include "obs/counters.hh"
 #include "obs/hostprof.hh"
 #include "obs/trace.hh"
@@ -38,31 +39,13 @@ using namespace upc780;
 namespace
 {
 
-wkl::WorkloadProfile
-profileByName(const char *name)
-{
-    if (!std::strcmp(name, "ts2"))
-        return wkl::timesharing2Profile();
-    if (!std::strcmp(name, "edu"))
-        return wkl::educationalProfile();
-    if (!std::strcmp(name, "sci"))
-        return wkl::scientificProfile();
-    if (!std::strcmp(name, "com"))
-        return wkl::commercialProfile();
-    if (std::strcmp(name, "ts1")) {
-        std::fprintf(stderr, "upctrace: unknown workload '%s'\n", name);
-        std::exit(2);
-    }
-    return wkl::timesharing1Profile();
-}
-
 int
 usage()
 {
     std::fprintf(stderr,
                  "usage: upctrace [--categories LIST] [--limit N] "
                  "[--json [FILE]] [--metrics]\n"
-                 "                [ts1|ts2|edu|sci|com] "
+                 "                [ts1|ts2|edu|sci|com|bursty] "
                  "[instructions]\n");
     return 2;
 }
@@ -131,7 +114,13 @@ main(int argc, char **argv)
         }
     }
 
-    auto profile = profileByName(npos > 0 ? pos[0] : "ts1");
+    wkl::WorkloadProfile profile;
+    try {
+        profile = wkl::profileById(npos > 0 ? pos[0] : "ts1");
+    } catch (const ConfigError &e) {
+        std::fprintf(stderr, "upctrace: %s\n", e.what());
+        return 2;
+    }
     uint64_t n = npos > 1 ? strtoull(pos[1], nullptr, 0) : 20000;
 
     sim::ExperimentConfig cfg;
