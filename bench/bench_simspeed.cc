@@ -110,7 +110,7 @@ BM_BareMachineWithMonitor(benchmark::State &state)
 {
     cpu::Vax780 machine;
     loadBareLoop(machine);
-    upc::UpcMonitor monitor;
+    upc::UpcMonitor monitor(machine.counters());
     machine.attachProbe(&monitor);
     monitor.start();
 
@@ -149,7 +149,7 @@ BM_BareMachineRunWithMonitor(benchmark::State &state)
     // gap between the two arms is the probe's per-cycle cost.
     cpu::Vax780 machine;
     loadBareLoop(machine);
-    upc::UpcMonitor monitor;
+    upc::UpcMonitor monitor(machine.counters());
     machine.attachProbe(&monitor);
     monitor.start();
 

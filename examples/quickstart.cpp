@@ -55,7 +55,7 @@ main()
     machine.ebox().gpr(reg::SP) = 0x8000;
 
     // ----- 3. Attach the UPC monitor (passively) and run. ----------------
-    upc::UpcMonitor monitor;
+    upc::UpcMonitor monitor(machine.counters());
     machine.attachProbe(&monitor);
     monitor.writeCsr(static_cast<uint16_t>(upc::UpcMonitor::Csr::Go));
 

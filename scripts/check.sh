@@ -15,8 +15,9 @@
 # BENCH_parallel.json) from a dedicated Release build-bench tree —
 # comparing against the committed baseline and refusing debug-build
 # figures — then rebuild with AddressSanitizer for the
-# fault/lint/snap/dispatch/parallel/devices tests, with UBSan for the
-# lint/snap/dispatch/devices tests, and — when the toolchain supports it —
+# fault/lint/snap/dispatch/parallel/devices/obs/components tests, with
+# UBSan for the lint/snap/dispatch/devices/obs/components tests, and —
+# when the toolchain supports it —
 # with ThreadSanitizer for the parallel-labeled tests.
 #
 #   scripts/check.sh [build-dir]          (default: build-check)
@@ -192,21 +193,21 @@ else
     echo "== gcov/python3 unavailable; skipping coverage report =="
 fi
 
-echo "== asan build (faults, lint, snap, ubench, dispatch, svc, parallel, devices) =="
+echo "== asan build (faults, lint, snap, ubench, dispatch, svc, parallel, devices, obs, components) =="
 cmake -S . -B "$BUILD-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DUPC780_SANITIZE=address
 cmake --build "$BUILD-asan" -j "$JOBS"
 ctest --no-tests=error --test-dir "$BUILD-asan" \
-    -L "faults|lint|snap|ubench|dispatch|svc|parallel|devices" \
+    -L "faults|lint|snap|ubench|dispatch|svc|parallel|devices|obs|components" \
     --output-on-failure
 
-echo "== ubsan build (lint + snap + ubench + dispatch + devices tests) =="
+echo "== ubsan build (lint + snap + ubench + dispatch + devices + obs + components tests) =="
 cmake -S . -B "$BUILD-ubsan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DUPC780_SANITIZE=undefined
 cmake --build "$BUILD-ubsan" -j "$JOBS"
 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --no-tests=error --test-dir "$BUILD-ubsan" \
-    -L "lint|snap|ubench|dispatch|devices" --output-on-failure
+    -L "lint|snap|ubench|dispatch|devices|obs|components" --output-on-failure
 
 if echo 'int main(){return 0;}' | \
     c++ -fsanitize=thread -x c++ - -o "$BUILD/tsan-probe" 2>/dev/null

@@ -15,10 +15,11 @@ namespace upc780::cpu
 using namespace upc780::ucode;
 using namespace upc780::arch;
 
-Ebox::Ebox(const MicrocodeImage &image, mem::MemorySubsystem &memsys,
-           mmu::TranslationBuffer &tb, IBox &ibox, ucode::DispatchMode mode)
+Ebox::Ebox(obs::CounterRegistry &counters, const MicrocodeImage &image,
+           mem::MemorySubsystem &memsys, mmu::TranslationBuffer &tb,
+           IBox &ibox, ucode::DispatchMode mode)
     : img_(image), threaded_(mode == ucode::DispatchMode::Threaded),
-      memsys_(memsys), tb_(tb), ibox_(ibox)
+      counters_(counters), memsys_(memsys), tb_(tb), ibox_(ibox)
 {
     upc_ = img_.marks.decode;
     rebindDecoded();
@@ -689,8 +690,9 @@ Ebox::endInstruction()
         intIpl_ = 31;
         ++mchecksDelivered_;
         obsEv_.mcheck = true;
-        obs::event(obs::Cat::Irq, obs::Code::MachineCheck, now_,
-                   mcheckCode_);
+        if (tracer_)
+            tracer_->emit(obs::Cat::Irq, obs::Code::MachineCheck, now_,
+                          mcheckCode_);
         return img_.marks.machineCheck;
     }
 
@@ -721,8 +723,9 @@ Ebox::endInstruction()
         intVector_ = best_vector;
         intIpl_ = best_level;
         obsEv_.irq = true;
-        obs::event(obs::Cat::Irq, obs::Code::IrqDispatch, now_,
-                   best_vector, best_level);
+        if (tracer_)
+            tracer_->emit(obs::Cat::Irq, obs::Code::IrqDispatch, now_,
+                          best_vector, best_level);
         return img_.marks.intDispatch;
     }
     return img_.marks.decode;
@@ -731,13 +734,15 @@ Ebox::endInstruction()
 void
 Ebox::startTrap(TrapKind kind, VAddr va)
 {
-    if (kind == TrapKind::TbMissD) {
+    if (kind == TrapKind::TbMissD)
         obsEv_.tbMissD = true;
-        obs::event(obs::Cat::Tb, obs::Code::TbMissD, now_, va);
-    } else {
+    else
         obsEv_.tbMissI = true;
-        obs::event(obs::Cat::Tb, obs::Code::TbMissI, now_, va);
-    }
+    if (tracer_)
+        tracer_->emit(obs::Cat::Tb,
+                      kind == TrapKind::TbMissD ? obs::Code::TbMissD
+                                                : obs::Code::TbMissI,
+                      now_, va);
     trapKind_ = kind;
     missVa_ = va;
     trappedUpc_ = upc_;

@@ -8,8 +8,9 @@
 namespace upc780::cpu
 {
 
-IBox::IBox(mem::MemorySubsystem &memsys, mmu::TranslationBuffer &tb)
-    : memsys_(memsys), tb_(tb)
+IBox::IBox(obs::CounterRegistry &counters, mem::MemorySubsystem &memsys,
+           mmu::TranslationBuffer &tb)
+    : counters_(counters), memsys_(memsys), tb_(tb)
 {
 }
 
@@ -23,7 +24,7 @@ IBox::redirect(VAddr pc)
     // The target address is resolved late in the redirecting cycle;
     // the first fetch of the new stream goes out a cycle later.
     justRedirected_ = true;
-    obs::count(obs::Ev::IbRedirects);
+    counters_.bump(obs::Ev::IbRedirects);
 }
 
 void
@@ -75,7 +76,7 @@ IBox::issueFill(uint64_t now)
     // hit (request, access, accept); misses take the SBI latency.
     fillReadyAt_ = ready > now + 2 ? ready : now + 2;
     fillPending_ = true;
-    obs::count(obs::Ev::IbFills);
+    counters_.bump(obs::Ev::IbFills);
 }
 
 template <class Self, class Ar>

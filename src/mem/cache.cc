@@ -9,8 +9,9 @@
 namespace upc780::mem
 {
 
-Cache::Cache(const CacheConfig &config, uint64_t seed)
-    : config_(config), rng_(seed)
+Cache::Cache(obs::CounterRegistry &counters, const CacheConfig &config,
+             uint64_t seed)
+    : counters_(counters), config_(config), rng_(seed)
 {
     if (!isPow2(config_.sizeBytes) || !isPow2(config_.blockBytes) ||
         config_.ways == 0) {
@@ -68,11 +69,11 @@ Cache::fill(uint32_t set, uint32_t tag)
 bool
 Cache::readAccess(PAddr pa, bool istream)
 {
-    obs::count(istream ? obs::Ev::CacheIReads : obs::Ev::CacheDReads);
+    counters_.bump(istream ? obs::Ev::CacheIReads : obs::Ev::CacheDReads);
 
     if (!config_.enabled) {
-        obs::count(istream ? obs::Ev::CacheIReadMisses
-                           : obs::Ev::CacheDReadMisses);
+        counters_.bump(istream ? obs::Ev::CacheIReadMisses
+                               : obs::Ev::CacheDReadMisses);
         return false;
     }
 
@@ -81,8 +82,8 @@ Cache::readAccess(PAddr pa, bool istream)
     if (lookup(set, tag) >= 0)
         return true;
 
-    obs::count(istream ? obs::Ev::CacheIReadMisses
-                       : obs::Ev::CacheDReadMisses);
+    counters_.bump(istream ? obs::Ev::CacheIReadMisses
+                           : obs::Ev::CacheDReadMisses);
     fill(set, tag);
     return false;
 }
@@ -90,14 +91,14 @@ Cache::readAccess(PAddr pa, bool istream)
 bool
 Cache::writeAccess(PAddr pa)
 {
-    obs::count(obs::Ev::CacheWrites);
+    counters_.bump(obs::Ev::CacheWrites);
     if (!config_.enabled)
         return false;
     uint32_t set = setIndex(pa);
     uint32_t tag = tagOf(pa);
     // No write-allocate: a write miss leaves the cache unchanged.
     if (lookup(set, tag) >= 0) {
-        obs::count(obs::Ev::CacheWriteHits);
+        counters_.bump(obs::Ev::CacheWriteHits);
         return true;
     }
     return false;

@@ -8,11 +8,13 @@
 namespace upc780::mem
 {
 
-MemorySubsystem::MemorySubsystem(const MemSysConfig &config)
-    : memory_(config.memSize),
-      cache_(config.cache),
+MemorySubsystem::MemorySubsystem(obs::CounterRegistry &counters,
+                                 const MemSysConfig &config)
+    : counters_(counters),
+      memory_(config.memSize),
+      cache_(counters, config.cache),
       sbi_(config.sbi),
-      writeBuffer_(sbi_, config.writeBufferDepth)
+      writeBuffer_(counters, sbi_, config.writeBufferDepth)
 {
 }
 
@@ -63,7 +65,7 @@ MemorySubsystem::read(PAddr pa, uint32_t size, uint64_t now)
         }
     }
     if (r.unaligned)
-        obs::count(obs::Ev::MemUnalignedRefs);
+        counters_.bump(obs::Ev::MemUnalignedRefs);
     r.data = memory_.read(pa, size);
     return r;
 }
@@ -93,7 +95,7 @@ MemorySubsystem::write(PAddr pa, uint32_t size, uint64_t data,
     }
 
     if (r.unaligned)
-        obs::count(obs::Ev::MemUnalignedRefs);
+        counters_.bump(obs::Ev::MemUnalignedRefs);
     memory_.write(pa, size, data);
     return r;
 }

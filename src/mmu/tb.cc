@@ -10,8 +10,9 @@
 namespace upc780::mmu
 {
 
-TranslationBuffer::TranslationBuffer(const TbConfig &config)
-    : config_(config)
+TranslationBuffer::TranslationBuffer(obs::CounterRegistry &counters,
+                                     const TbConfig &config)
+    : counters_(counters), config_(config)
 {
     if (!isPow2(config_.entriesPerHalf))
         sim_throw(ConfigError, "TB half size must be a power of two");
@@ -45,12 +46,12 @@ TranslationBuffer::lookup(VAddr va, bool istream, PAddr &pa)
             e.valid = false;
         } else {
             pa = (e.pfn << PageShift) | (va & (PageBytes - 1));
-            obs::count(istream ? obs::Ev::TbIHits : obs::Ev::TbDHits);
+            counters_.bump(istream ? obs::Ev::TbIHits : obs::Ev::TbDHits);
             return true;
         }
     }
 
-    obs::count(istream ? obs::Ev::TbIMisses : obs::Ev::TbDMisses);
+    counters_.bump(istream ? obs::Ev::TbIMisses : obs::Ev::TbDMisses);
     return false;
 }
 
@@ -84,7 +85,7 @@ TranslationBuffer::fill(VAddr va, uint32_t pfn)
     e.valid = true;
     e.tag = tag;
     e.pfn = pfn;
-    obs::count(obs::Ev::TbFills);
+    counters_.bump(obs::Ev::TbFills);
 }
 
 void
@@ -92,7 +93,7 @@ TranslationBuffer::flushProcess()
 {
     for (uint32_t s = 0; s < config_.entriesPerHalf; ++s)
         entries_[s].valid = false;
-    obs::count(obs::Ev::TbFlushes);
+    counters_.bump(obs::Ev::TbFlushes);
 }
 
 void
@@ -100,7 +101,7 @@ TranslationBuffer::flushAll()
 {
     for (Entry &e : entries_)
         e.valid = false;
-    obs::count(obs::Ev::TbFlushes);
+    counters_.bump(obs::Ev::TbFlushes);
 }
 
 void

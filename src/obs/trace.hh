@@ -155,14 +155,6 @@ class EventTracer
     uint64_t filtered_ = 0;
 };
 
-/** Emit into the current thread's tracer scope, if any. */
-inline void
-event(Cat c, Code code, uint64_t ts, uint64_t a0 = 0, uint32_t a1 = 0)
-{
-    if (EventTracer *t = tracer())
-        t->emit(c, code, ts, a0, a1);
-}
-
 /**
  * Merge per-worker streams into one globally time-ordered stream.
  * Events keep their relative order within a stream (each stream is

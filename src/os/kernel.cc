@@ -397,12 +397,22 @@ VmsLite::anyRunnableProcess() const
     return false;
 }
 
+OsStats
+VmsLite::stats() const
+{
+    const obs::CounterRegistry &c = machine_.counters();
+    OsStats s = stats_;
+    s.contextSwitches = c.total(obs::Ev::OsContextSwitches);
+    s.reschedRequests = c.total(obs::Ev::OsReschedRequests);
+    s.syscalls = c.total(obs::Ev::OsSyscalls);
+    return s;
+}
+
 void
 VmsLite::requestResched(cpu::Ebox &ebox)
 {
     ebox.backdoorWrite(kdata::ReschedFlag, 4, 1);
-    ++stats_.reschedRequests;
-    obs::count(obs::Ev::OsReschedRequests);
+    machine_.counters().bump(obs::Ev::OsReschedRequests);
 }
 
 void
@@ -442,8 +452,7 @@ VmsLite::pickNext(cpu::Ebox &ebox, bool first)
         // Point the outgoing context at the common resume code.
         ebox.backdoorWrite(procs_[current_].pcbVa + 4 * pcb::Pc, 4,
                            schedResumeVa_);
-        ++stats_.contextSwitches;
-        obs::count(obs::Ev::OsContextSwitches);
+        machine_.counters().bump(obs::Ev::OsContextSwitches);
     }
 
     // Round-robin over runnable processes; the Null process runs when
@@ -467,10 +476,9 @@ VmsLite::pickNext(cpu::Ebox &ebox, bool first)
 
     current_ = next;
     procs_[next].quantumLeft = cfg_.quantumTicks;
-    if (!first) {
-        obs::event(obs::Cat::Os, obs::Code::CtxSwitch, machine_.cycles(),
-                   static_cast<uint64_t>(next),
-                   procs_[next].isIdle ? 1 : 0);
+    if (obs::EventTracer *t = machine_.tracer(); t && !first) {
+        t->emit(obs::Cat::Os, obs::Code::CtxSwitch, machine_.cycles(),
+                static_cast<uint64_t>(next), procs_[next].isIdle ? 1 : 0);
     }
     ebox.writePr(mmu::pr::PCBB, procs_[next].pcbVa);
     if (switchHook_)
@@ -522,10 +530,11 @@ VmsLite::onTermEvent(cpu::Ebox &ebox)
 void
 VmsLite::onSyscall(cpu::Ebox &ebox, uint32_t code)
 {
-    ++stats_.syscalls;
-    obs::count(obs::Ev::OsSyscalls);
-    obs::event(obs::Cat::Os, obs::Code::Syscall, machine_.cycles(), code,
-               static_cast<uint32_t>(current_));
+    machine_.counters().bump(obs::Ev::OsSyscalls);
+    if (obs::EventTracer *t = machine_.tracer()) {
+        t->emit(obs::Cat::Os, obs::Code::Syscall, machine_.cycles(), code,
+                static_cast<uint32_t>(current_));
+    }
     Process &cur = procs_[current_];
     switch (code) {
       case sys::TermWait: {
@@ -687,7 +696,12 @@ VmsLite::walk(Self &s, Ar &ar)
     ar.below(s.current_, s.procs_.size(), "kernel current pid");
     ar.u32(s.rr_);
     ar.u64(s.tickCount_);
-    OsStats::walk(s.stats_, ar);
+    // The kernel's own counts: the registry's section holds the rest.
+    ar.u64(s.stats_.forkRequests);
+    ar.u64(s.stats_.termWrites);
+    ar.u64(s.stats_.machineChecks);
+    ar.u64(s.stats_.faultsCorrected);
+    ar.u64(s.stats_.processesTerminated);
     ar.vec32(s.errorLog_, MaxErrorLogEntries,
              [&](auto &e) { ErrorLogEntry::walk(e, ar); });
     IntervalTimer::walk(*s.timer_, ar);

@@ -220,10 +220,10 @@ WorkloadRun::WorkloadRun(const ExperimentConfig &cfg,
         tracer_ = std::make_unique<obs::EventTracer>(cfg_.obs.traceDepth,
                                                      cfg_.obs.traceMask);
     }
-    obs::ObsScope scope(&registry_, tracer_.get());
     obs::ScopedTimer build_timer(host_, obs::Phase::Build);
 
     machine_ = std::make_unique<cpu::Vax780>(cfg_.machine);
+    machine_->setTracer(tracer_.get());
     vms_ = std::make_unique<os::VmsLite>(*machine_, cfg_.os);
 
     if (tracer_ &&
@@ -258,6 +258,7 @@ WorkloadRun::WorkloadRun(const ExperimentConfig &cfg,
 
     // The monitor and the watchdog are not attached: run() fuses them
     // into the machine's run loop (RunProbes).
+    monitor_ = std::make_unique<upc::UpcMonitor>(machine_->counters());
     watchdog_ = std::make_unique<Watchdog>(machine_->microcode());
 
     vms_->setSwitchHook([this](int, bool is_idle) {
@@ -265,11 +266,11 @@ WorkloadRun::WorkloadRun(const ExperimentConfig &cfg,
         if (!measuring_)
             return;
         if (cfg_.excludeIdle && is_idle) {
-            monitor_.stop();
-            registry_.setEnabled(false);
+            monitor_->stop();
+            machine_->counters().setEnabled(false);
         } else {
-            monitor_.start();
-            registry_.setEnabled(true);
+            monitor_->start();
+            machine_->counters().setEnabled(true);
         }
     });
 
@@ -438,12 +439,12 @@ WorkloadRun::saveCheckpoint()
     }
     {
         ByteWriter w;
-        monitor_.serialize(w);
+        monitor_->serialize(w);
         sw.add("monitor", std::move(w));
     }
     {
         ByteWriter w;
-        registry_.serialize(w);
+        machine_->counters().serialize(w);
         sw.add("counters", std::move(w));
     }
     if (tracer_) {
@@ -541,8 +542,8 @@ WorkloadRun::restore(const std::string &path)
     };
     load("machine", *machine_);
     load("kernel", *vms_);
-    load("monitor", monitor_);
-    load("counters", registry_);
+    load("monitor", *monitor_);
+    load("counters", machine_->counters());
     if (tracer_)
         load("tracer", *tracer_);
     if (instrEvents_)
@@ -586,20 +587,20 @@ WorkloadRun::beginMeasurement()
     phase_ = Phase::Measure;
     measuring_ = true;
     if (!(cfg_.excludeIdle && inIdle_)) {
-        monitor_.start();
-        registry_.setEnabled(true);
+        monitor_->start();
+        machine_->counters().setEnabled(true);
     }
-    obs::event(obs::Cat::Sim, obs::Code::MeasureStart,
-               machine_->cycles());
-    before_ = snapshotHw(registry_);
+    if (tracer_)
+        tracer_->emit(obs::Cat::Sim, obs::Code::MeasureStart,
+                      machine_->cycles());
+    before_ = snapshotHw(machine_->counters());
     cyclesAtStart_ = machine_->cycles();
 }
 
 WorkloadResult
 WorkloadRun::run()
 {
-    obs::ObsScope scope(&registry_, tracer_.get());
-    RunProbes probes{monitor_, *watchdog_};
+    RunProbes probes{*monitor_, *watchdog_};
     // Both loops advance the machine through runBatch with the monitor
     // and watchdog fused in. Each batch stops at the retire that could
     // first end its loop: the warm-up count moves by one per retire,
@@ -631,12 +632,12 @@ WorkloadRun::run()
 
     {
         obs::ScopedTimer t(host_, obs::Phase::Measure);
-        while (monitor_.histogram().count(decodeAddr_) <
+        while (monitor_->histogram().count(decodeAddr_) <
                cfg_.instructionsPerWorkload) {
             loopTop("measurement");
             machine_->runBatch(probes, batchBudget(),
                      retireBudget(cfg_.instructionsPerWorkload -
-                                  monitor_.histogram().count(decodeAddr_)));
+                                  monitor_->histogram().count(decodeAddr_)));
             if (machine_->ebox().halted())
                 sim_throw(GuestError,
                           "machine halted during measurement");
@@ -650,16 +651,17 @@ WorkloadRun::run()
             checkStuck("measurement");
         }
     }
-    monitor_.stop();
-    registry_.setEnabled(false);
-    obs::event(obs::Cat::Sim, obs::Code::MeasureStop,
-               machine_->cycles());
+    monitor_->stop();
+    machine_->counters().setEnabled(false);
+    if (tracer_)
+        tracer_->emit(obs::Cat::Sim, obs::Code::MeasureStop,
+                      machine_->cycles());
 
     WorkloadResult r;
     r.name = profile_.name;
-    r.histogram = monitor_.histogram();
-    r.cycles = monitor_.observedCycles();
-    r.hw = delta(before_, snapshotHw(registry_));
+    r.histogram = monitor_->histogram();
+    r.cycles = monitor_->observedCycles();
+    r.hw = delta(before_, snapshotHw(machine_->counters()));
     r.osStats = vms_->stats();
     r.timerInterrupts = vms_->timer().interrupts();
     r.terminalInterrupts = vms_->terminal().interrupts();
@@ -667,7 +669,7 @@ WorkloadRun::run()
         r.faultStats = injector_->stats();
     r.errorLog = vms_->errorLog();
     if (cfg_.obs.counters)
-        r.obs = registry_.snapshot();
+        r.obs = machine_->counters().snapshot();
     r.host = host_;
     if (tracer_)
         r.trace = tracer_->events();

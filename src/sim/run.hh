@@ -104,9 +104,7 @@ class WorkloadRun
      * historical runWorkload preamble). @p attempt is the 0-based
      * retry attempt, used by the simulated-crash knob and recorded in
      * checkpoints. Throws LintError, before booting, when ulint flags
-     * the machine's microprogram. The constructor and run() each
-     * install the run's observability scope on the calling thread for
-     * their duration.
+     * the machine's microprogram.
      */
     WorkloadRun(const ExperimentConfig &cfg,
                 const wkl::WorkloadProfile &profile, uint32_t attempt = 0);
@@ -179,14 +177,14 @@ class WorkloadRun
     std::string taskId_;
 
     // Instruments and machine, in the historical construction order.
-    obs::CounterRegistry registry_;
+    // The counters are the machine's (machine_->counters()).
     std::unique_ptr<obs::EventTracer> tracer_;
     obs::HostProfile host_;
     std::unique_ptr<cpu::Vax780> machine_;
     std::unique_ptr<os::VmsLite> vms_;
     std::unique_ptr<cpu::InstrTracer> instrEvents_;
     std::unique_ptr<fault::FaultInjector> injector_;
-    upc::UpcMonitor monitor_;
+    std::unique_ptr<upc::UpcMonitor> monitor_;
     std::unique_ptr<Watchdog> watchdog_;
 
     ucode::UAddr decodeAddr_ = 0;

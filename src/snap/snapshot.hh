@@ -52,9 +52,10 @@ namespace upc780::snap
 /**
  * Current container format revision. 3: the kernel section records
  * which processes are materialized, and memory holds only their
- * images.
+ * images. 4: the kernel section drops the context-switch, syscall and
+ * resched counts, which the "counters" section already holds.
  */
-constexpr uint32_t FormatVersion = 3;
+constexpr uint32_t FormatVersion = 4;
 
 /** The 8-byte file magic. */
 constexpr char Magic[8] = {'U', 'P', 'C', '7', '8', '0', 'S', 'N'};

@@ -804,7 +804,7 @@ Walker::machineCycle()
     CycleFlags fl{};
     Out out = eboxCycle(fl);
 
-    // obs::emitCycle's classification, exactly.
+    // CounterRegistry::emitCycle's classification, exactly.
     if (out.stalled) {
         bump(Ev::EboxStallCycles);
     } else if (fl.halt) {

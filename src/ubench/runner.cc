@@ -14,7 +14,6 @@
 #include "common/serial.hh"
 #include "cpu/vax780.hh"
 #include "obs/counters.hh"
-#include "obs/trace.hh"
 #include "ubench/ubench.hh"
 #include "upc/monitor.hh"
 
@@ -65,11 +64,10 @@ cycleLimit(uint32_t iters)
 }
 
 Measurement
-extract(cpu::Vax780 &m, const upc::UpcMonitor &mon,
-        const obs::CounterRegistry &reg)
+extract(cpu::Vax780 &m, const upc::UpcMonitor &mon)
 {
     Measurement meas;
-    meas.obs = reg.snapshot();
+    meas.obs = m.counters().snapshot();
     meas.hist = mon.histogram();
     meas.machineCycles = m.cycles();
     meas.monitorCycles = mon.observedCycles();
@@ -82,23 +80,19 @@ extract(cpu::Vax780 &m, const upc::UpcMonitor &mon,
 Measurement
 runKernel(const Kernel &k, uint32_t iters, const RunOverrides &ov)
 {
-    obs::CounterRegistry reg;
-    obs::EventTracer tracer(1024);
-    obs::ObsScope scope(&reg, &tracer);
-
     cpu::Vax780 m(configFor(k, ov));
     loadKernel(m, k, iters);
 
-    upc::UpcMonitor mon;
+    upc::UpcMonitor mon(m.counters());
     m.attachProbe(&mon);
     mon.start();
-    reg.setEnabled(true);
+    m.counters().setEnabled(true);
 
     m.run(cycleLimit(iters));
     if (!m.ebox().halted())
         panic("ubench %s: did not halt in %llu cycles", k.name.c_str(),
               static_cast<unsigned long long>(cycleLimit(iters)));
-    return extract(m, mon, reg);
+    return extract(m, mon);
 }
 
 Measurement
@@ -107,21 +101,18 @@ runKernelCheckpointed(const Kernel &k, uint32_t iters, uint64_t checkpoint_at)
     const cpu::MachineConfig mc = configFor(k, {});
     std::vector<uint8_t> snap_machine, snap_monitor, snap_counters;
     {
-        obs::CounterRegistry reg;
-        obs::EventTracer tracer(1024);
-        obs::ObsScope scope(&reg, &tracer);
         cpu::Vax780 m(mc);
         loadKernel(m, k, iters);
-        upc::UpcMonitor mon;
+        upc::UpcMonitor mon(m.counters());
         m.attachProbe(&mon);
         mon.start();
-        reg.setEnabled(true);
+        m.counters().setEnabled(true);
         while (m.cycles() < checkpoint_at && m.tick()) {
         }
         ByteWriter wm, wp, wc;
         m.serialize(wm);
         mon.serialize(wp);
-        reg.serialize(wc);
+        m.counters().serialize(wc);
         snap_machine = wm.data();
         snap_monitor = wp.data();
         snap_counters = wc.data();
@@ -129,23 +120,20 @@ runKernelCheckpointed(const Kernel &k, uint32_t iters, uint64_t checkpoint_at)
 
     // Everything from before the cut is discarded; only the snapshot
     // bytes cross into the second half.
-    obs::CounterRegistry reg;
-    obs::EventTracer tracer(1024);
-    obs::ObsScope scope(&reg, &tracer);
     cpu::Vax780 m(mc);
     ByteReader rm(snap_machine);
     m.deserialize(rm);
-    upc::UpcMonitor mon;
+    upc::UpcMonitor mon(m.counters());
     ByteReader rp(snap_monitor);
     mon.deserialize(rp);
     m.attachProbe(&mon);
     ByteReader rc(snap_counters);
-    reg.deserialize(rc);
+    m.counters().deserialize(rc);
 
     m.run(cycleLimit(iters));
     if (!m.ebox().halted())
         panic("ubench %s: restored run did not halt", k.name.c_str());
-    return extract(m, mon, reg);
+    return extract(m, mon);
 }
 
 PerIteration

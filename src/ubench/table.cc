@@ -58,7 +58,7 @@ runLoop(const std::vector<uint8_t> &code,
     m.ebox().gpr(LoopReg) = iters;
     m.ebox().reset(Base, false);
 
-    upc::UpcMonitor mon;
+    upc::UpcMonitor mon(m.counters());
     m.attachProbe(&mon);
     mon.start();
     m.run(1000000);

@@ -288,8 +288,8 @@ deriveWord(const ucode::MicrocodeImage &img, UAddr a)
 
     w.canStall = op.mem != Mem::None;
 
-    // Counter mask: what obs::emitCycle can bump for a cycle landing
-    // at this address.
+    // Counter mask: what CounterRegistry::emitCycle can bump for a
+    // cycle landing at this address.
     switch (w.cls) {
       case CycleClass::Halt:
         w.counters = CntHalt;

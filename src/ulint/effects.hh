@@ -6,9 +6,10 @@
  * counters a cycle attributed to it is allowed to bump.
  *
  * This is the static half of the attribution cross-check. The dynamic
- * half — the EBOX's end-of-cycle classification (obs::emitCycle) and
- * the monitor's count/stall bucketing — is derived from the *same*
- * microword fields at runtime; deriving the allowed sets here, from
+ * half — the EBOX's end-of-cycle classification
+ * (CounterRegistry::emitCycle) and the monitor's count/stall
+ * bucketing — is derived from the *same* microword fields at
+ * runtime; deriving the allowed sets here, from
  * nothing but the assembled image, lets the linter prove the static
  * map sound (rules UL013-UL015) and lets the experiment runner refute
  * any run whose histogram or counter totals land outside them

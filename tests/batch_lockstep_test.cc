@@ -90,7 +90,7 @@ class PollEveryInstruction final : public cpu::Device
 };
 
 /**
- * One booted machine with the run's instruments: its own counter
+ * One booted machine with the run's instruments: the machine's counter
  * registry, the UPC board gated like WorkloadRun gates it (idle
  * excluded), a watchdog, and the optional extra.
  */
@@ -100,9 +100,9 @@ struct Rig
         const os::OsConfig &os, const std::vector<uint64_t> &burst)
         : machine(configFor(mode)),
           vms(machine, os),
+          monitor(machine.counters()),
           watchdog(machine.microcode())
     {
-        obs::ObsScope scope(&registry, nullptr);
         if (extra == Extra::Tracer) {
             tracer = std::make_unique<cpu::InstrTracer>(machine, 512);
             machine.attachProbe(tracer.get());
@@ -153,7 +153,6 @@ struct Rig
     void
     stepTo(uint64_t target)
     {
-        obs::ObsScope scope(&registry, nullptr);
         if (!attached) {
             machine.attachProbe(&monitor);
             machine.attachProbe(&watchdog);
@@ -172,7 +171,6 @@ struct Rig
     batchTo(uint64_t target)
     {
         constexpr uint64_t Retires = 3;
-        obs::ObsScope scope(&registry, nullptr);
         sim::RunProbes probes{monitor, watchdog};
         while (machine.cycles() < target) {
             const uint64_t budget = target - machine.cycles();
@@ -205,8 +203,8 @@ struct Rig
         return w.take();
     }
 
-    obs::CounterRegistry registry;
     cpu::Vax780 machine;
+    obs::CounterRegistry &registry = machine.counters();
     os::VmsLite vms;
     upc::UpcMonitor monitor;
     sim::Watchdog watchdog;
@@ -380,23 +378,17 @@ TEST(ProbeWindows, OneCallEqualsTheCycleLoop)
     };
 
     obs::CounterRegistry reg_loop, reg_window;
-    upc::UpcMonitor mon_loop, mon_window;
+    upc::UpcMonitor mon_loop(reg_loop), mon_window(reg_window);
     sim::Watchdog wd_loop(img), wd_window(img);
     mon_loop.start();
     mon_window.start();
     for (const Step &s : steps) {
-        {
-            obs::ObsScope scope(&reg_loop, nullptr);
-            for (uint64_t i = 0; i < s.n; ++i) {
-                mon_loop.cycle(s.upc, s.stalled);
-                wd_loop.cycle(s.upc, s.stalled);
-            }
+        for (uint64_t i = 0; i < s.n; ++i) {
+            mon_loop.cycle(s.upc, s.stalled);
+            wd_loop.cycle(s.upc, s.stalled);
         }
-        {
-            obs::ObsScope scope(&reg_window, nullptr);
-            mon_window.cycles(s.upc, s.stalled, s.n);
-            wd_window.cycles(s.upc, s.stalled, s.n);
-        }
+        mon_window.cycles(s.upc, s.stalled, s.n);
+        wd_window.cycles(s.upc, s.stalled, s.n);
         ByteWriter a, b;
         mon_loop.serialize(a);
         wd_loop.serialize(a);

@@ -14,7 +14,6 @@
 #include <string>
 #include <type_traits>
 
-#include "counting.hh"
 #include "mem/memsys.hh"
 #include "mem/sbi.hh"
 #include "mem/writebuffer.hh"
@@ -137,16 +136,16 @@ TEST(CounterWidth, WriteBufferStallSurvivesPast32Bits)
     // A write that finds the buffer busy stalls for (drain - now)
     // cycles. Force that difference beyond 2^32: under the old
     // uint32_t return this truncated silently.
-    testutil::Counting n;
+    obs::CounterRegistry n;
     mem::Sbi sbi{mem::SbiConfig{}};
-    mem::WriteBuffer wb(sbi, 1);
+    mem::WriteBuffer wb(n, sbi, 1);
 
     uint64_t far_future = uint64_t(1) << 33;
     EXPECT_EQ(wb.issue(far_future), 0u);  // buffer empty, no stall
 
     uint64_t stall = wb.issue(0);  // drain time is ~2^33 away
     EXPECT_GT(stall, uint64_t(UINT32_MAX));
-    EXPECT_EQ(n[obs::Ev::WbStallCycles], stall);
+    EXPECT_EQ(n.total(obs::Ev::WbStallCycles), stall);
 }
 
 TEST(CounterWidth, ObsRegistryCrosses32Bits)

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "arch/assembler.hh"
-#include "counting.hh"
 #include "cpu/vax780.hh"
 
 using namespace upc780;
@@ -290,14 +289,13 @@ TEST(CpuTiming, CacheMissCausesReadStall)
     b.emit(Op::MOVL, {Operand::abs(0x4000), Operand::reg(0)});
     b.emit(Op::MOVL, {Operand::abs(0x4000), Operand::reg(1)});
     b.emit(Op::HALT, {});
-    testutil::Counting n2;
     BareMachine m2(b);
     uint64_t c2 = m2.runToHalt();
 
     // The second load hits the cache: it must cost at least the
     // 6-cycle miss penalty less than a fresh miss would.
     EXPECT_LT(c2 - c1, c1);
-    EXPECT_EQ(n2[obs::Ev::CacheDReadMisses], 1u);
+    EXPECT_EQ(m2.machine.counters().total(obs::Ev::CacheDReadMisses), 1u);
 }
 
 } // namespace

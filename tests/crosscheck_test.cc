@@ -14,7 +14,6 @@
 #include <set>
 
 #include "arch/decoder.hh"
-#include "counting.hh"
 #include "cpu/trace.hh"
 #include "cpu/vax780.hh"
 #include "os/kernel.hh"
@@ -76,7 +75,7 @@ TEST(CrossCheck, AnalyzerAgreesWithTracedStream)
     for (auto &img : wkl::buildWorkload(profile))
         vms.addProcess(img);
 
-    upc::UpcMonitor monitor;
+    upc::UpcMonitor monitor(machine.counters());
     machine.attachProbe(&monitor);
     cpu::InstrTracer tracer(machine, 1 << 18, /*disassemble=*/false);
     machine.attachProbe(&tracer);
@@ -124,7 +123,7 @@ TEST(CrossCheck, AbortCyclesEqualTbMissEntries)
     for (auto &img : wkl::buildWorkload(profile))
         vms.addProcess(img);
 
-    upc::UpcMonitor monitor;
+    upc::UpcMonitor monitor(machine.counters());
     machine.attachProbe(&monitor);
     vms.boot();
     monitor.start();
@@ -146,26 +145,26 @@ TEST(CrossCheck, TbMissBucketsMatchHardwareCounters)
 {
     // The histogram's miss-routine entries equal the TB hardware's
     // miss counters (same events, seen from both sides).
-    testutil::Counting n;
     cpu::Vax780 machine;
+    const obs::CounterRegistry &n = machine.counters();
     os::VmsLite vms(machine);
     auto profile = wkl::educationalProfile();
     profile.users = 6;
     for (auto &img : wkl::buildWorkload(profile))
         vms.addProcess(img);
 
-    upc::UpcMonitor monitor;
+    upc::UpcMonitor monitor(machine.counters());
     machine.attachProbe(&monitor);
     vms.boot();
 
     // Snapshot hardware counters exactly at monitor start/stop.
     monitor.start();
-    uint64_t d0 = n[obs::Ev::TbDMisses];
-    uint64_t i0 = n[obs::Ev::TbIMisses];
+    uint64_t d0 = n.total(obs::Ev::TbDMisses);
+    uint64_t i0 = n.total(obs::Ev::TbIMisses);
     machine.run(300000);
     monitor.stop();
-    uint64_t d1 = n[obs::Ev::TbDMisses];
-    uint64_t i1 = n[obs::Ev::TbIMisses];
+    uint64_t d1 = n.total(obs::Ev::TbDMisses);
+    uint64_t i1 = n.total(obs::Ev::TbIMisses);
 
     const auto &marks = ucode::microcodeImage().marks;
     const auto &h = monitor.histogram();
@@ -185,22 +184,22 @@ TEST(CrossCheck, ReadsSeenByCacheMatchHistogram)
     // minus the extra physical references (unaligned/quad splits and
     // PTE fetches are ReadP, also cache probes). Verify the
     // inequality direction and closeness.
-    testutil::Counting n;
     cpu::Vax780 machine;
+    const obs::CounterRegistry &n = machine.counters();
     os::VmsLite vms(machine);
     auto profile = wkl::commercialProfile();
     profile.users = 6;
     for (auto &img : wkl::buildWorkload(profile))
         vms.addProcess(img);
 
-    upc::UpcMonitor monitor;
+    upc::UpcMonitor monitor(machine.counters());
     machine.attachProbe(&monitor);
     vms.boot();
     monitor.start();
-    uint64_t c0 = n[obs::Ev::CacheDReads];
+    uint64_t c0 = n.total(obs::Ev::CacheDReads);
     machine.run(300000);
     monitor.stop();
-    uint64_t c1 = n[obs::Ev::CacheDReads];
+    uint64_t c1 = n.total(obs::Ev::CacheDReads);
 
     upc::HistogramAnalyzer an(monitor.histogram(),
                               ucode::microcodeImage());

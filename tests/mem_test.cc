@@ -13,13 +13,12 @@
 #include <vector>
 
 #include "common/serial.hh"
-#include "counting.hh"
 #include "mem/memsys.hh"
+#include "obs/counters.hh"
 
 using namespace upc780;
 using namespace upc780::mem;
 using obs::Ev;
-using testutil::Counting;
 
 // ---------------------------------------------------------------------------
 // PhysicalMemory
@@ -171,45 +170,46 @@ TEST(MemorySnapshot, DefaultImage)
 
 TEST(Cache, MissThenHit)
 {
-    Counting n;
-    Cache c;
+    obs::CounterRegistry n;
+    Cache c(n);
     EXPECT_FALSE(c.readAccess(0x1000, false));
     EXPECT_TRUE(c.readAccess(0x1000, false));
     EXPECT_TRUE(c.readAccess(0x1004, false));   // same 8-byte block
     EXPECT_FALSE(c.readAccess(0x1008, false));  // next block
-    EXPECT_EQ(n[Ev::CacheDReads], 4u);
-    EXPECT_EQ(n[Ev::CacheDReadMisses], 2u);
+    EXPECT_EQ(n.total(Ev::CacheDReads), 4u);
+    EXPECT_EQ(n.total(Ev::CacheDReadMisses), 2u);
 }
 
 TEST(Cache, IStreamCountedSeparately)
 {
-    Counting n;
-    Cache c;
+    obs::CounterRegistry n;
+    Cache c(n);
     c.readAccess(0x2000, true);
     c.readAccess(0x2000, false);
-    EXPECT_EQ(n[Ev::CacheIReads], 1u);
-    EXPECT_EQ(n[Ev::CacheIReadMisses], 1u);
-    EXPECT_EQ(n[Ev::CacheDReads], 1u);
-    EXPECT_EQ(n[Ev::CacheDReadMisses], 0u);  // filled by I ref
+    EXPECT_EQ(n.total(Ev::CacheIReads), 1u);
+    EXPECT_EQ(n.total(Ev::CacheIReadMisses), 1u);
+    EXPECT_EQ(n.total(Ev::CacheDReads), 1u);
+    EXPECT_EQ(n.total(Ev::CacheDReadMisses), 0u);  // filled by I ref
 }
 
 TEST(Cache, WriteThroughNoAllocate)
 {
-    Counting n;
-    Cache c;
+    obs::CounterRegistry n;
+    Cache c(n);
     // Write miss must not allocate.
     EXPECT_FALSE(c.writeAccess(0x3000));
     EXPECT_FALSE(c.probe(0x3000));
     // After a read allocates, a write hits and updates.
     c.readAccess(0x3000, false);
     EXPECT_TRUE(c.writeAccess(0x3000));
-    EXPECT_EQ(n[Ev::CacheWrites], 2u);
-    EXPECT_EQ(n[Ev::CacheWriteHits], 1u);
+    EXPECT_EQ(n.total(Ev::CacheWrites), 2u);
+    EXPECT_EQ(n.total(Ev::CacheWriteHits), 1u);
 }
 
 TEST(Cache, TwoWayAssociativityHoldsTwoConflicting)
 {
-    Cache c;  // 8 KB, 2-way, 8-byte blocks -> 512 sets, 4 KB stride
+    obs::CounterRegistry n;
+    Cache c(n);  // 8 KB, 2-way, 8-byte blocks -> 512 sets, 4 KB stride
     c.readAccess(0x0000, false);
     c.readAccess(0x1000, false);  // same set, second way
     EXPECT_TRUE(c.probe(0x0000));
@@ -223,7 +223,8 @@ TEST(Cache, TwoWayAssociativityHoldsTwoConflicting)
 
 TEST(Cache, InvalidateAll)
 {
-    Cache c;
+    obs::CounterRegistry n;
+    Cache c(n);
     c.readAccess(0x4000, false);
     ASSERT_TRUE(c.probe(0x4000));
     c.invalidateAll();
@@ -234,11 +235,11 @@ TEST(Cache, DisabledAlwaysMisses)
 {
     CacheConfig cfg;
     cfg.enabled = false;
-    Counting n;
-    Cache c(cfg);
+    obs::CounterRegistry n;
+    Cache c(n, cfg);
     EXPECT_FALSE(c.readAccess(0x1000, false));
     EXPECT_FALSE(c.readAccess(0x1000, false));
-    EXPECT_EQ(n[Ev::CacheDReadMisses], 2u);
+    EXPECT_EQ(n.total(Ev::CacheDReadMisses), 2u);
 }
 
 TEST(Cache, ParameterizedGeometry)
@@ -248,7 +249,8 @@ TEST(Cache, ParameterizedGeometry)
             CacheConfig cfg;
             cfg.sizeBytes = size;
             cfg.ways = ways;
-            Cache c(cfg);
+            obs::CounterRegistry n;
+            Cache c(n, cfg);
             EXPECT_EQ(c.numSets(), size / (8 * ways));
             // Fill 'ways' conflicting blocks; all must be resident.
             uint32_t stride = size / ways;
@@ -275,23 +277,24 @@ TEST(Sbi, ReadLatencyAndContention)
 
 TEST(WriteBuffer, SingleEntryStallRule)
 {
-    Counting n;
+    obs::CounterRegistry n;
     Sbi sbi;
-    WriteBuffer wb(sbi, 1);
+    WriteBuffer wb(n, sbi, 1);
     // First write: accepted immediately.
     EXPECT_EQ(wb.issue(10), 0u);
     // Second write 3 cycles later: must wait for the 6-cycle drain.
     EXPECT_EQ(wb.issue(13), 3u);
     // Third write long after: no stall.
     EXPECT_EQ(wb.issue(100), 0u);
-    EXPECT_EQ(n[Ev::WbWrites], 3u);
-    EXPECT_EQ(n[Ev::WbStallCycles], 3u);
+    EXPECT_EQ(n.total(Ev::WbWrites), 3u);
+    EXPECT_EQ(n.total(Ev::WbStallCycles), 3u);
 }
 
 TEST(WriteBuffer, DeeperBufferAbsorbsBursts)
 {
+    obs::CounterRegistry n;
     Sbi sbi;
-    WriteBuffer wb(sbi, 4);
+    WriteBuffer wb(n, sbi, 4);
     uint32_t total = 0;
     for (int i = 0; i < 4; ++i)
         total += wb.issue(static_cast<uint64_t>(i));
@@ -304,7 +307,8 @@ TEST(WriteBuffer, DeeperBufferAbsorbsBursts)
 
 TEST(MemSys, ReadHitNoStall)
 {
-    MemorySubsystem ms;
+    obs::CounterRegistry n;
+    MemorySubsystem ms(n);
     ms.memory().write(0x1000, 4, 42);
     auto r1 = ms.read(0x1000, 4, 0);
     EXPECT_TRUE(r1.miss);
@@ -317,20 +321,21 @@ TEST(MemSys, ReadHitNoStall)
 
 TEST(MemSys, UnalignedCostsSecondReference)
 {
-    Counting n;
-    MemorySubsystem ms;
+    obs::CounterRegistry n;
+    MemorySubsystem ms(n);
     // Warm both longwords.
     ms.read(0x1000, 4, 0);
     ms.read(0x1004, 4, 10);
     auto r = ms.read(0x1002, 4, 100);
     EXPECT_TRUE(r.unaligned);
-    EXPECT_EQ(n[Ev::MemUnalignedRefs], 1u);
-    EXPECT_EQ(n[Ev::CacheDReads], 4u);  // 2 + 2 refs
+    EXPECT_EQ(n.total(Ev::MemUnalignedRefs), 1u);
+    EXPECT_EQ(n.total(Ev::CacheDReads), 4u);  // 2 + 2 refs
 }
 
 TEST(MemSys, WriteStallWithinSixCycles)
 {
-    MemorySubsystem ms;
+    obs::CounterRegistry n;
+    MemorySubsystem ms(n);
     auto w1 = ms.write(0x2000, 4, 1, 0);
     EXPECT_EQ(w1.stallCycles, 0u);
     auto w2 = ms.write(0x2004, 4, 2, 2);
@@ -341,11 +346,11 @@ TEST(MemSys, WriteStallWithinSixCycles)
 
 TEST(MemSys, QuadReadMakesTwoReferences)
 {
-    Counting n;
-    MemorySubsystem ms;
+    obs::CounterRegistry n;
+    MemorySubsystem ms(n);
     ms.memory().write(0x3000, 8, 0x1122334455667788ull);
     ms.read(0x3000, 8, 0);
-    EXPECT_EQ(n[Ev::CacheDReads], 2u);
+    EXPECT_EQ(n.total(Ev::CacheDReads), 2u);
     auto r = ms.read(0x3000, 8, 100);
     EXPECT_EQ(r.data, 0x1122334455667788ull);
     EXPECT_FALSE(r.unaligned);  // aligned quad is not "unaligned"
@@ -353,8 +358,8 @@ TEST(MemSys, QuadReadMakesTwoReferences)
 
 TEST(MemSys, IfetchDoesNotBlock)
 {
-    Counting n;
-    MemorySubsystem ms;
+    obs::CounterRegistry n;
+    MemorySubsystem ms(n);
     ms.memory().write(0x4000, 4, 0xABCD1234);
     uint64_t ready = 0;
     uint32_t lw = ms.ifetch(0x4002, 50, ready);
@@ -362,5 +367,5 @@ TEST(MemSys, IfetchDoesNotBlock)
     EXPECT_EQ(ready, 56u);       // miss: available after SBI latency
     ms.ifetch(0x4002, 100, ready);
     EXPECT_EQ(ready, 100u);      // hit: available immediately
-    EXPECT_EQ(n[Ev::CacheIReads], 2u);
+    EXPECT_EQ(n.total(Ev::CacheIReads), 2u);
 }

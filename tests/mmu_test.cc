@@ -9,16 +9,15 @@
 
 #include <map>
 
-#include "counting.hh"
 #include "mem/memory.hh"
 #include "mmu/pagetable.hh"
 #include "mmu/tb.hh"
+#include "obs/counters.hh"
 #include "common/random.hh"
 
 using namespace upc780;
 using namespace upc780::mmu;
 using obs::Ev;
-using testutil::Counting;
 
 TEST(AddressSpace, Classification)
 {
@@ -135,22 +134,22 @@ TEST(PageTableBuilder, AllocatesAndMaps)
 
 TEST(Tb, FillThenHit)
 {
-    Counting n;
-    TranslationBuffer tb;
+    obs::CounterRegistry n;
+    TranslationBuffer tb(n);
     arch::PAddr pa = 0;
     EXPECT_FALSE(tb.lookup(0x1234, false, pa));
     tb.fill(0x1234, 0x77);
     ASSERT_TRUE(tb.lookup(0x1234, false, pa));
     EXPECT_EQ(pa, (0x77u << PageShift) | 0x034u);
-    EXPECT_EQ(n[Ev::TbDMisses], 1u);
-    EXPECT_EQ(n[Ev::TbDHits], 1u);
-    EXPECT_EQ(n[Ev::TbFills], 1u);
+    EXPECT_EQ(n.total(Ev::TbDMisses), 1u);
+    EXPECT_EQ(n.total(Ev::TbDHits), 1u);
+    EXPECT_EQ(n.total(Ev::TbFills), 1u);
 }
 
 TEST(Tb, SystemAndProcessHalvesIndependent)
 {
-    Counting n;
-    TranslationBuffer tb;
+    obs::CounterRegistry n;
+    TranslationBuffer tb(n);
     tb.fill(0x00000200, 1);           // process page 1
     tb.fill(0x80000200, 2);           // system page 1 (same set index)
     EXPECT_TRUE(tb.probe(0x00000200));
@@ -158,12 +157,13 @@ TEST(Tb, SystemAndProcessHalvesIndependent)
     tb.flushProcess();
     EXPECT_FALSE(tb.probe(0x00000200));
     EXPECT_TRUE(tb.probe(0x80000200));
-    EXPECT_EQ(n[Ev::TbFlushes], 1u);
+    EXPECT_EQ(n.total(Ev::TbFlushes), 1u);
 }
 
 TEST(Tb, P0AndP1DoNotAlias)
 {
-    TranslationBuffer tb;
+    obs::CounterRegistry n;
+    TranslationBuffer tb(n);
     // Same VPN-within-region but different regions.
     tb.fill(0x00000200, 0x10);
     EXPECT_FALSE(tb.probe(0x40000200));
@@ -177,7 +177,8 @@ TEST(Tb, DirectMappedConflict)
 {
     TbConfig cfg;
     cfg.entriesPerHalf = 64;
-    TranslationBuffer tb(cfg);
+    obs::CounterRegistry n;
+    TranslationBuffer tb(n, cfg);
     // Pages 64 apart in the same space conflict.
     tb.fill(0, 1);
     EXPECT_TRUE(tb.probe(0));
@@ -188,7 +189,8 @@ TEST(Tb, DirectMappedConflict)
 
 TEST(Tb, InvalidateSingle)
 {
-    TranslationBuffer tb;
+    obs::CounterRegistry n;
+    TranslationBuffer tb(n);
     tb.fill(0x3000, 5);
     tb.fill(0x3200, 6);
     tb.invalidateSingle(0x3000);
@@ -198,20 +200,21 @@ TEST(Tb, InvalidateSingle)
 
 TEST(Tb, IStreamCountedSeparately)
 {
-    Counting n;
-    TranslationBuffer tb;
+    obs::CounterRegistry n;
+    TranslationBuffer tb(n);
     arch::PAddr pa;
     tb.lookup(0x5000, true, pa);
     tb.lookup(0x5000, false, pa);
-    EXPECT_EQ(n[Ev::TbIMisses], 1u);
-    EXPECT_EQ(n[Ev::TbDMisses], 1u);
+    EXPECT_EQ(n.total(Ev::TbIMisses), 1u);
+    EXPECT_EQ(n.total(Ev::TbDMisses), 1u);
 }
 
 TEST(Tb, DisabledAlwaysMisses)
 {
     TbConfig cfg;
     cfg.enabled = false;
-    TranslationBuffer tb(cfg);
+    obs::CounterRegistry n;
+    TranslationBuffer tb(n, cfg);
     tb.fill(0x1000, 3);
     arch::PAddr pa;
     EXPECT_FALSE(tb.lookup(0x1000, false, pa));
@@ -226,7 +229,8 @@ TEST_P(TbRandomized, ProbeAgreesWithLookup)
     // Property: after any fill/flush sequence, probe() and lookup()
     // agree, and a hit always returns the most recent fill's frame.
     upc780::Rng rng(GetParam());
-    TranslationBuffer tb;
+    obs::CounterRegistry n;
+    TranslationBuffer tb(n);
     std::map<uint32_t, std::pair<uint32_t, uint32_t>> sets;
 
     for (int i = 0; i < 2000; ++i) {

@@ -16,9 +16,12 @@
 #include "common/json.hh"
 #include "common/random.hh"
 #include "common/serial.hh"
+#include "cpu/vax780.hh"
 #include "obs/hostprof.hh"
 #include "obs/trace.hh"
+#include "os/kernel.hh"
 #include "sim/engine.hh"
+#include "workload/codegen.hh"
 #include "workload/profile.hh"
 
 using namespace upc780;
@@ -63,23 +66,23 @@ TEST(EventTracer, CounterTableListsNonZeroRows)
 
 TEST(EventTracer, EmitCycleClassifiesByPriority)
 {
-    obs::CounterRegistry reg;
+    cpu::Vax780 machine;
+    obs::CounterRegistry &reg = machine.counters();
     reg.setEnabled(true);
-    obs::ObsScope scope(&reg, nullptr);
 
     obs::CycleEvents ev;
     ev.halt = true;
-    obs::emitCycle(ev, /*stalled=*/true);  // stall outranks halt
+    reg.emitCycle(ev, /*stalled=*/true);  // stall outranks halt
     EXPECT_EQ(reg.value(obs::Ev::EboxStallCycles), 1u);
     EXPECT_EQ(reg.value(obs::Ev::EboxHaltCycles), 0u);
 
-    obs::emitCycle(ev, false);
+    reg.emitCycle(ev, false);
     EXPECT_EQ(reg.value(obs::Ev::EboxHaltCycles), 1u);
 
     ev = obs::CycleEvents{};
     ev.decode = true;
     ev.mcheck = true;
-    obs::emitCycle(ev, false);
+    reg.emitCycle(ev, false);
     EXPECT_EQ(reg.value(obs::Ev::EboxUops), 1u);
     EXPECT_EQ(reg.value(obs::Ev::IboxDecodes), 1u);
     EXPECT_EQ(reg.value(obs::Ev::MachineChecks), 1u);
@@ -87,7 +90,7 @@ TEST(EventTracer, EmitCycleClassifiesByPriority)
     // A closed gate freezes the window, matching a stopped monitor;
     // the total keeps counting.
     reg.setEnabled(false);
-    obs::emitCycle(ev, false);
+    reg.emitCycle(ev, false);
     EXPECT_EQ(reg.value(obs::Ev::EboxUops), 1u);
     EXPECT_EQ(reg.total(obs::Ev::EboxUops), 2u);
 }
@@ -407,4 +410,63 @@ TEST(EventTracerEngine, ParallelStreamsMergeConsistently)
         EXPECT_EQ(starts, 1u) << w.name;
         EXPECT_EQ(stops, 1u) << w.name;
     }
+}
+
+namespace
+{
+
+/** A booted machine running @p profile with a few users. */
+struct Booted
+{
+    explicit Booted(wkl::WorkloadProfile profile) : vms(machine)
+    {
+        profile.users = 3;
+        for (os::ProcessImage &img : wkl::buildWorkload(profile))
+            vms.addProcess(std::move(img));
+        vms.boot();
+    }
+
+    cpu::Vax780 machine;
+    os::VmsLite vms;
+};
+
+obs::Snapshot
+totals(const cpu::Vax780 &m)
+{
+    obs::Snapshot s;
+    for (size_t i = 0; i < obs::NumEvents; ++i)
+        s.counters[i] = m.counters().total(obs::Ev(i));
+    return s;
+}
+
+} // namespace
+
+TEST(Obs, MachinesCountApart)
+{
+    // Each machine's events land in its own registry, whatever else
+    // runs on the thread: two machines stepped alternately end with the
+    // totals each reaches alone.
+    constexpr uint64_t Slice = 1000, Slices = 400;
+    auto alone = [&](const wkl::WorkloadProfile &p) {
+        Booted b(p);
+        for (uint64_t i = 0; i < Slices; ++i)
+            b.machine.run(Slice);
+        return totals(b.machine);
+    };
+    const obs::Snapshot a1 = alone(wkl::timesharing1Profile());
+    const obs::Snapshot b1 = alone(wkl::educationalProfile());
+
+    Booted a(wkl::timesharing1Profile());
+    Booted b(wkl::educationalProfile());
+    for (uint64_t i = 0; i < Slices; ++i) {
+        a.machine.run(Slice);
+        b.machine.run(Slice);
+    }
+    EXPECT_EQ(totals(a.machine), a1);
+    EXPECT_EQ(totals(b.machine), b1);
+    EXPECT_GT(a1.value(obs::Ev::EboxUops), 0u);
+    EXPECT_GT(b1.value(obs::Ev::OsContextSwitches) +
+                  a1.value(obs::Ev::OsContextSwitches),
+              0u);
+    EXPECT_NE(a1, b1);
 }

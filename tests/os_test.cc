@@ -380,3 +380,27 @@ TEST(Os, MisshapenImageIsRefusedAtFirstPick)
                 << "frame byte " << off;
     }
 }
+
+TEST(Os, StatsAreRegistryTotals)
+{
+    // A bare machine and kernel, no harness: the kernel's context
+    // switch, syscall and resched counts are its machine's os.* totals.
+    cpu::Vax780 machine;
+    OsConfig cfg;
+    cfg.timerPeriodCycles = 3000;
+    VmsLite vms(machine, cfg);
+    vms.addProcess(interactiveProcess());
+    vms.addProcess(counterProcess(1));
+    vms.addProcess(counterProcess(2));
+    vms.boot();
+    machine.run(400000);
+
+    const obs::CounterRegistry &c = machine.counters();
+    const OsStats s = vms.stats();
+    EXPECT_EQ(s.contextSwitches, c.total(obs::Ev::OsContextSwitches));
+    EXPECT_EQ(s.syscalls, c.total(obs::Ev::OsSyscalls));
+    EXPECT_EQ(s.reschedRequests, c.total(obs::Ev::OsReschedRequests));
+    EXPECT_GT(s.contextSwitches, 0u);
+    EXPECT_GT(s.syscalls, 0u);
+    EXPECT_GT(s.reschedRequests, 0u);
+}

@@ -61,7 +61,7 @@ struct Rig
     }
 
     cpu::Vax780 machine;
-    upc::UpcMonitor monitor;
+    upc::UpcMonitor monitor{machine.counters()};
 };
 
 } // namespace
@@ -446,7 +446,7 @@ TEST(Timing, TbMissInsideStringLoopRetriesCleanly)
     e.reset(0x80001000, true);
     e.gpr(reg::SP) = 0x80008000;
 
-    upc::UpcMonitor mon;
+    upc::UpcMonitor mon(machine.counters());
     machine.attachProbe(&mon);
     mon.start();
     machine.run(100000);

@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "arch/assembler.hh"
-#include "counting.hh"
 #include "cpu/vax780.hh"
 #include "ucode/controlstore.hh"
 #include "upc/analyzer.hh"
@@ -46,7 +45,8 @@ struct MachineRun
         machine->ebox().reset(0x1000, false);
         machine->ebox().gpr(reg::SP) = 0x8000;
         if (with_monitor) {
-            monitor = std::make_unique<upc::UpcMonitor>();
+            monitor =
+                std::make_unique<upc::UpcMonitor>(machine->counters());
             machine->attachProbe(monitor.get());
             monitor->start();
         }
@@ -94,7 +94,8 @@ TEST(Monitor, DecodeBucketCountsInstructions)
 
 TEST(Monitor, StartStopGates)
 {
-    upc::UpcMonitor m;
+    obs::CounterRegistry n;
+    upc::UpcMonitor m(n);
     m.cycle(5, false);
     EXPECT_EQ(m.histogram().count(5), 0u);  // not started
     m.start();
@@ -109,7 +110,8 @@ TEST(Monitor, StartStopGates)
 
 TEST(Monitor, UnibusCsrInterface)
 {
-    upc::UpcMonitor m;
+    obs::CounterRegistry n;
+    upc::UpcMonitor m(n);
     EXPECT_EQ(m.readCsr(), 0);
     m.writeCsr(static_cast<uint16_t>(upc::UpcMonitor::Csr::Go));
     EXPECT_TRUE(m.running());
@@ -211,7 +213,6 @@ TEST(Analyzer, TakenNeverExceedsExecuted)
 
 TEST(Analyzer, ReadsAndWritesAttributed)
 {
-    testutil::Counting n;
     MachineRun r(true);
     upc::HistogramAnalyzer an(r.monitor->histogram(),
                               ucode::microcodeImage());
@@ -223,7 +224,9 @@ TEST(Analyzer, ReadsAndWritesAttributed)
     // seen by the cache (plus IB refills it cannot see).
     double instr = static_cast<double>(an.instructions());
     EXPECT_NEAR(tot.reads,
-                static_cast<double>(n[obs::Ev::CacheDReads]) / instr,
+                static_cast<double>(
+                    r.machine->counters().total(obs::Ev::CacheDReads)) /
+                    instr,
                 0.35);
 }
 
