@@ -17,8 +17,8 @@
  *                           checkpoint instead of from boot
  *
  * An unknown `--` flag, a missing value, or a count that is not a
- * positive number prints the message and the usage text to stderr and
- * exits with status 2.
+ * positive number (common/count.hh) prints the message and the usage
+ * text to stderr and exits with status 2.
  */
 
 #ifndef UPC780_EXAMPLES_ENGINE_ARGS_HH
@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/count.hh"
 #include "sim/experiment.hh"
 #include "snap/snapshot.hh"
 
@@ -50,17 +51,19 @@ usageError(const std::string &problem, const char *usage)
     std::exit(2);
 }
 
-/** A positive number (decimal, 0x hex or 0 octal) or a usage error. */
+/** A count in [@p min, @p max] (upc780::parseCount) or a usage error. */
 inline uint64_t
-parseCount(const char *what, const char *s, const char *usage)
+countArg(const char *what, const char *s, const char *usage,
+         uint64_t min = 1, uint64_t max = UINT64_MAX)
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 0);
-    if (!*s || *s == '-' || *end || v == 0)
-        usageError(std::string(what) + ": not a positive number: '" + s +
-                       "'",
+    const std::optional<uint64_t> v = parseCount(s, min, max);
+    if (!v) {
+        usageError(std::string(what) + ": not a number in [" +
+                       std::to_string(min) + ", " + std::to_string(max) +
+                       "]: '" + s + "'",
                    usage);
-    return v;
+    }
+    return *v;
 }
 
 /** The shared flags, parsed. */
@@ -94,19 +97,21 @@ struct EngineArgs
         } else if (!std::strcmp(a, "--resume")) {
             checkpoint.resume = true;
         } else if (!std::strcmp(a, "--jobs")) {
-            jobs = static_cast<unsigned>(parseCount(a, value(), usage));
+            jobs = static_cast<unsigned>(
+                countArg(a, value(), usage, 1, UINT32_MAX));
         } else if (!std::strcmp(a, "--seeds")) {
-            seeds = static_cast<unsigned>(parseCount(a, value(), usage));
+            seeds = static_cast<unsigned>(
+                countArg(a, value(), usage, 1, UINT32_MAX));
         } else if (!std::strcmp(a, "--checkpoint-dir")) {
             checkpoint.dir = value();
         } else if (!std::strcmp(a, "--checkpoint-every")) {
-            checkpoint.everyCycles = parseCount(a, value(), usage);
+            checkpoint.everyCycles = countArg(a, value(), usage);
         } else if (!std::strcmp(a, "--crash-at")) {
             const std::string list = value();
             size_t at = 0;
             for (;;) {
                 const size_t comma = list.find(',', at);
-                crashAt.push_back(parseCount(
+                crashAt.push_back(countArg(
                     a, list.substr(at, comma - at).c_str(), usage));
                 if (comma == std::string::npos)
                     break;

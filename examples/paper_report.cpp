@@ -76,8 +76,8 @@ main(int argc, char **argv)
                 std::string("unexpected argument '") + argv[i] + "'",
                 Usage.c_str());
         else {
-            instructions = examples::parseCount("instructions", argv[i],
-                                                Usage.c_str());
+            instructions = examples::countArg("instructions", argv[i],
+                                              Usage.c_str());
             haveInstructions = true;
         }
     }

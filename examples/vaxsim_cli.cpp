@@ -55,6 +55,14 @@ const std::string EngineUsage =
                 "FLAGS:   ") +
     examples::EngineFlagsUsage;
 
+const char *const ToolUsage =
+    "usage: vaxsim_cli trace [workload] [count]\n"
+    "       vaxsim_cli disasm FILE [base]\n"
+    "       vaxsim_cli collect FILE [workload] [instructions]";
+
+/** The most instructions `trace` keeps (its ring holds them all). */
+constexpr uint64_t MaxTraceRecords = uint64_t{1} << 20;
+
 /**
  * Parse the engine flags out of an argv slice, compacting the other
  * arguments in place (at most @p maxPositional of them) so they keep
@@ -112,8 +120,8 @@ cmdRun(int argc, char **argv)
     examples::EngineArgs ea;
     argc = takeEngineArgs(ea, argc, argv, 2);
     auto profile = profileOrExit(argc > 0 ? argv[0] : "ts1");
-    uint64_t n = argc > 1 ? examples::parseCount("instructions", argv[1],
-                                                 EngineUsage.c_str())
+    uint64_t n = argc > 1 ? examples::countArg("instructions", argv[1],
+                                               EngineUsage.c_str())
                           : 100000;
 
     sim::ExperimentConfig cfg;
@@ -153,8 +161,8 @@ cmdReport(int argc, char **argv)
 {
     examples::EngineArgs ea;
     argc = takeEngineArgs(ea, argc, argv, 1);
-    uint64_t n = argc > 0 ? examples::parseCount("instructions", argv[0],
-                                                 EngineUsage.c_str())
+    uint64_t n = argc > 0 ? examples::countArg("instructions", argv[0],
+                                               EngineUsage.c_str())
                           : 60000;
     sim::ExperimentConfig cfg;
     cfg.instructionsPerWorkload = n;
@@ -191,7 +199,9 @@ int
 cmdTrace(int argc, char **argv)
 {
     auto profile = profileOrExit(argc > 0 ? argv[0] : "ts1");
-    uint64_t n = argc > 1 ? strtoull(argv[1], nullptr, 0) : 40;
+    uint64_t n = argc > 1 ? examples::countArg("count", argv[1], ToolUsage,
+                                               1, MaxTraceRecords)
+                          : 40;
     profile.users = 4;
 
     cpu::Vax780 machine;
@@ -221,8 +231,9 @@ cmdDisasm(int argc, char **argv)
     std::vector<uint8_t> bytes(
         (std::istreambuf_iterator<char>(in)),
         std::istreambuf_iterator<char>());
-    uint32_t base = argc > 1 ? static_cast<uint32_t>(
-                                   strtoul(argv[1], nullptr, 0))
+    uint32_t base = argc > 1 ? static_cast<uint32_t>(examples::countArg(
+                                   "base", argv[1], ToolUsage, 0,
+                                   UINT32_MAX))
                              : 0;
     uint32_t pos = 0;
     while (pos < bytes.size()) {
@@ -306,7 +317,9 @@ cmdCollect(int argc, char **argv)
         return 2;
     }
     auto profile = profileOrExit(argc > 1 ? argv[1] : "ts1");
-    uint64_t n = argc > 2 ? strtoull(argv[2], nullptr, 0) : 60000;
+    uint64_t n = argc > 2 ? examples::countArg("instructions", argv[2],
+                                               ToolUsage)
+                          : 60000;
     sim::ExperimentConfig cfg;
     cfg.instructionsPerWorkload = n;
     cfg.warmupInstructions = n / 6;

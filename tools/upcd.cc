@@ -21,8 +21,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <thread>
 
+#include "common/count.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "svc/daemon.hh"
@@ -54,15 +56,8 @@ usage(const char *argv0)
     return 2;
 }
 
-uint64_t
-parseU64(const char *what, const char *s)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 0);
-    if (!end || *end)
-        fatal("%s: not a number: '%s'", what, s);
-    return v;
-}
+/** The most threads --workers or --engine-jobs may ask for. */
+constexpr uint64_t MaxThreads = 256;
 
 } // namespace
 
@@ -72,6 +67,18 @@ main(int argc, char **argv)
     svc::DaemonConfig cfg;
     cfg.workers = 2;
     std::string socketPath;
+    bool badCount = false;
+    auto count = [&](const char *what, const char *s,
+                     uint64_t max = UINT64_MAX) -> uint64_t {
+        const std::optional<uint64_t> v = parseCount(s, 0, max);
+        if (!v) {
+            std::fprintf(stderr,
+                         "upcd: %s: not a number in [0, %llu]: '%s'\n",
+                         what, static_cast<unsigned long long>(max), s);
+            badCount = true;
+        }
+        return v.value_or(0);
+    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -83,26 +90,26 @@ main(int argc, char **argv)
         } else if (a == "--spool-dir" && hasArg) {
             cfg.spoolDir = argv[++i];
         } else if (a == "--workers" && hasArg) {
-            cfg.workers =
-                static_cast<unsigned>(parseU64("--workers", argv[++i]));
+            cfg.workers = static_cast<unsigned>(
+                count("--workers", argv[++i], MaxThreads));
         } else if (a == "--engine-jobs" && hasArg) {
             cfg.engineJobs = static_cast<unsigned>(
-                parseU64("--engine-jobs", argv[++i]));
+                count("--engine-jobs", argv[++i], MaxThreads));
         } else if (a == "--cache-budget" && hasArg) {
-            cfg.cacheBudgetBytes = parseU64("--cache-budget", argv[++i]);
+            cfg.cacheBudgetBytes = count("--cache-budget", argv[++i]);
         } else if (a == "--timeout-ms" && hasArg) {
-            cfg.requestTimeoutMs = parseU64("--timeout-ms", argv[++i]);
+            cfg.requestTimeoutMs = count("--timeout-ms", argv[++i]);
         } else if (a == "--max-queue" && hasArg) {
-            cfg.maxQueuedTotal = static_cast<size_t>(
-                parseU64("--max-queue", argv[++i]));
+            cfg.maxQueuedTotal =
+                static_cast<size_t>(count("--max-queue", argv[++i]));
         } else if (a == "--max-queue-tenant" && hasArg) {
-            cfg.maxQueuedPerTenant = static_cast<size_t>(
-                parseU64("--max-queue-tenant", argv[++i]));
+            cfg.maxQueuedPerTenant =
+                static_cast<size_t>(count("--max-queue-tenant", argv[++i]));
         } else {
             return usage(argv[0]);
         }
     }
-    if (socketPath.empty() || cfg.cacheDir.empty())
+    if (badCount || socketPath.empty() || cfg.cacheDir.empty())
         return usage(argv[0]);
     if (cfg.workers == 0)
         cfg.workers = 1; // the tool has no manual pump

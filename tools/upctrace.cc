@@ -27,6 +27,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/count.hh"
 #include "common/error.hh"
 #include "obs/counters.hh"
 #include "obs/hostprof.hh"
@@ -38,6 +39,9 @@ using namespace upc780;
 
 namespace
 {
+
+/** The deepest trace ring --limit may ask for (32 bytes an event). */
+constexpr uint32_t MaxLimit = 1u << 24;
 
 int
 usage()
@@ -87,12 +91,15 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (!std::strcmp(argv[i], "--limit") && i + 1 < argc) {
-            limit = static_cast<uint32_t>(
-                strtoul(argv[++i], nullptr, 0));
-            if (!limit) {
-                std::fprintf(stderr, "upctrace: --limit must be > 0\n");
-                return 2;
+            const auto v = parseCount(argv[++i], 1, MaxLimit);
+            if (!v) {
+                std::fprintf(stderr,
+                             "upctrace: --limit: not a number in [1, %u]: "
+                             "'%s'\n",
+                             MaxLimit, argv[i]);
+                return usage();
             }
+            limit = static_cast<uint32_t>(*v);
         } else if (!std::strcmp(argv[i], "--json")) {
             json = true;
             // An optional FILE operand follows iff it ends in ".json"
@@ -121,7 +128,18 @@ main(int argc, char **argv)
         std::fprintf(stderr, "upctrace: %s\n", e.what());
         return 2;
     }
-    uint64_t n = npos > 1 ? strtoull(pos[1], nullptr, 0) : 20000;
+    uint64_t n = 20000;
+    if (npos > 1) {
+        const auto v = parseCount(pos[1]);
+        if (!v) {
+            std::fprintf(stderr,
+                         "upctrace: instructions: not a positive number: "
+                         "'%s'\n",
+                         pos[1]);
+            return usage();
+        }
+        n = *v;
+    }
 
     sim::ExperimentConfig cfg;
     cfg.instructionsPerWorkload = n;
