@@ -4,7 +4,9 @@
  * workload composite at increasing worker counts, report wall-clock,
  * speedup, and parallel efficiency versus the 1-worker run, and verify
  * that every worker count reproduces the 1-worker composite bit for
- * bit (the engine's central determinism contract).
+ * bit (the engine's central determinism contract). Each row's wall
+ * time is the median of OverheadReps runs, taken in rounds over the
+ * whole sweep, so one noisy run cannot move a speedup.
  *
  * The composite is embarrassingly parallel — five independent machines
  * — so on >= 5 idle cores the expected speedup approaches 5x, bounded
@@ -84,7 +86,7 @@ now()
         .count();
 }
 
-/** Repetitions behind each overhead figure (alternating off/on). */
+/** Repetitions behind each scaling row and each overhead figure. */
 constexpr int OverheadReps = 5;
 
 double
@@ -116,8 +118,9 @@ main()
 
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     std::printf("Parallel engine scaling (five-workload composite, "
-                "%llu instr/workload, %u hardware threads)\n\n",
-                static_cast<unsigned long long>(instr), hw);
+                "%llu instr/workload, %u hardware threads, median of "
+                "%d runs)\n\n",
+                static_cast<unsigned long long>(instr), hw, OverheadReps);
     std::printf("  %-5s  %10s  %8s  %10s  %s\n", "jobs", "wall (s)",
                 "speedup", "efficiency", "identical");
 
@@ -127,22 +130,28 @@ main()
             sweep.push_back(j);
 
     sim::CompositeResult baseline;
-    double base_wall = 0;
+    std::vector<std::vector<double>> walls(sweep.size());
+    std::vector<bool> sames(sweep.size(), true);
+    for (int rep = 0; rep < OverheadReps; ++rep) {
+        for (size_t k = 0; k < sweep.size(); ++k) {
+            sim::CompositeResult c;
+            walls[k].push_back(runOnce(cfg, sweep[k], c));
+            if (rep == 0 && k == 0)
+                baseline = c;
+            sames[k] = sames[k] && identical(baseline, c);
+        }
+    }
+    const double base_wall = median(walls.front());
     bool all_identical = true;
     std::vector<ScaleRow> rows;
-    for (unsigned jobs : sweep) {
-        sim::CompositeResult c;
-        const double wall = runOnce(cfg, jobs, c);
-        if (jobs == sweep.front()) {
-            baseline = c;
-            base_wall = wall;
-        }
-        const bool same = identical(baseline, c);
-        all_identical = all_identical && same;
-        rows.push_back({jobs, wall, same});
+    for (size_t k = 0; k < sweep.size(); ++k) {
+        const unsigned jobs = sweep[k];
+        const double wall = median(walls[k]);
+        all_identical = all_identical && sames[k];
+        rows.push_back({jobs, wall, sames[k]});
         std::printf("  %-5u  %10.3f  %7.2fx  %9.1f%%  %s\n", jobs, wall,
                     base_wall / wall, 100.0 * base_wall / wall / jobs,
-                    same ? "yes" : "NO");
+                    sames[k] ? "yes" : "NO");
     }
 
     std::printf("\ncomposite: %llu instructions, %llu cycles, all "
